@@ -5,9 +5,11 @@
 Run from a checkout; tupack is imported from the checkout's ``src``. The
 workload runs as a closed loop in this one process, one instance at a time,
 in an order drawn from ``--seed``. A pass runs every instance of the workload
-once; passes repeat while another one fits in ``--seconds`` (at least one
-runs). Every written solution is checked. With ``--trace 1`` the run makes
-one untraced pass, then one pass with every layer wrapped, and reports the
+once; passes repeat while the run, set-up included, still ends within
+``--seconds`` (at least one runs). Every written solution is checked. An untraced run also times a
+pinned reference solve between the jobs and scales every time it reports to
+the reference speed (see speed.py). With ``--trace 1`` the run makes one
+untraced pass, then one pass with every layer wrapped, and reports the
 per-layer metrics plus the tracing overhead.
 
 The last line of standard output is the result: ``correct``, ``attempted``,
@@ -35,7 +37,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKLOAD_NAMES = ("solve-large", "solve-corpus", "construct-generate")
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 9
 
 
 def quality_metrics(qualities) -> dict:
@@ -54,15 +56,18 @@ QUALITY_UNITS = {"gap_pct_mean": "%", "tu_count": "TUs", "optimum_misses": "coun
                  "fitness_sum": "L"}
 
 
-def measure_setup(workload: str) -> list[float]:
-    """Set-up time of fresh interpreters: imports plus building the inputs."""
-    samples = []
+def measure_setup(workload: str, probe) -> tuple[list[float], list[float]]:
+    """Set-up time of fresh interpreters: imports plus building the inputs.
+
+    Returns the samples and the host-speed probes taken between them."""
+    samples, probe_s = [], [probe()]
     for _ in range(SETUP_SAMPLES):
         done = subprocess.run(
             [sys.executable, str(HERE / "run.py"), "--workload", workload, "--setup-only"],
             capture_output=True, text=True, timeout=120, check=True)
         samples.append(float(done.stdout.split()[-1]))
-    return samples
+        probe_s.append(probe())
+    return samples, probe_s
 
 
 def git_sha() -> str | None:
@@ -111,19 +116,23 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
-def instance_times(passes) -> list[float]:
+def instance_times(passes, scaled=True) -> list[float]:
     """Each instance's median time over the passes, in canonical order."""
-    return [statistics.median(ts) for ts in zip(*(p.times for p in passes))]
+    return [statistics.median(ts)
+            for ts in zip(*(p.scaled if scaled else p.times for p in passes))]
 
 
-def end_to_end_metrics(passes, setup_samples, rss_mb) -> dict:
-    """Timing and memory metrics of an untraced run; quality is added apart."""
-    wall = statistics.median(p.wall_s for p in passes)
+def end_to_end_metrics(passes, setup_samples, setup_factor, rss_mb) -> dict:
+    """Timing and memory metrics of an untraced run; quality is added apart.
+
+    Job times are the passes' scaled ones, and set-up time is scaled by
+    ``setup_factor``: seconds on a host of the reference speed (speed.py)."""
+    wall = statistics.median(sum(p.scaled) for p in passes)
     return {
         "wall_s": metric(wall, "s"),
         "solve_s_p50": metric(statistics.median(instance_times(passes)), "s"),
         "boxes_per_s": metric(passes[0].boxes / wall, "boxes/s"),
-        "setup_s": metric(statistics.median(setup_samples), "s"),
+        "setup_s": metric(statistics.median(setup_samples) * setup_factor, "s"),
         "peak_rss_mb": metric(rss_mb, "MB"),
     }
 
@@ -149,19 +158,30 @@ def main(argv=None) -> int:
         print(repr(setup_main))
         return 0
 
-    setup_samples = [] if args.trace else measure_setup(args.workload)
     order = list(range(len(jobs)))
     random.Random(args.seed).shuffle(order)
 
     tracer = None
-    passes = [workloads.run_pass(jobs, order)]
-    rss_mb = peak_rss_mb()  # later passes repeat the same work
     if args.trace:
+        setup_samples, setup_probe_s = [], []
+        passes = [workloads.run_pass(jobs, order)]
+        rss_mb = peak_rss_mb()
         tracer = Tracer(layers.targets())
         passes.append(workloads.run_pass(jobs, order, tracer))
-    else:  # another pass while its measured time still fits in --seconds
-        while sum(p.wall_s for p in passes) + max(p.wall_s for p in passes) <= args.seconds:
-            passes.append(workloads.run_pass(jobs, order))
+    else:
+        import speed  # not in set-up: the snapshot is the benchmark's own
+
+        probe = speed.SpeedProbe()
+        setup_samples, setup_probe_s = measure_setup(args.workload, probe)
+        start = time.perf_counter()
+        passes = [workloads.run_pass(jobs, order, probe=probe)]
+        rss_mb = peak_rss_mb()  # later passes repeat the same work
+        longest = time.perf_counter() - start
+        # another pass while the whole run, set-up and probes included, still
+        # ends within --seconds
+        while (elapsed := time.perf_counter() - _T0) + longest <= args.seconds:
+            passes.append(workloads.run_pass(jobs, order, probe=probe))
+            longest = max(longest, time.perf_counter() - _T0 - elapsed)
 
     first = passes[0]
     for p in passes:
@@ -193,10 +213,13 @@ def main(argv=None) -> int:
             {"name": job.name, "solve_s": t,
              **({} if q is None else {"tus": q.tus, "lb_tus": q.lb_tus,
                                       "gap_pct": q.gap_pct, "fitness": q.fitness})}
-            for job, t, q in zip(jobs, instance_times(passes), first.qualities)
+            for job, t, q in zip(jobs, instance_times(passes, scaled=False), first.qualities)
         ],
         "setup_main_s": setup_main,
         "setup_samples_s": setup_samples,
+        "setup_probe_s": setup_probe_s,
+        "pass_probe_s": [p.probe_s for p in passes],
+        "pass_speed_factors": [sum(p.scaled) / p.wall_s for p in passes],
         "git_sha": git_sha(),
         "src_sha256": source_sha(),
         "python": sys.version.split()[0],
@@ -212,7 +235,7 @@ def main(argv=None) -> int:
         if args.spans:
             tracer.write_spans(args.spans)
     else:
-        metrics = end_to_end_metrics(passes, setup_samples, rss_mb)
+        metrics = end_to_end_metrics(passes, setup_samples, speed.factor(setup_probe_s), rss_mb)
         metrics.update({k: metric(v, QUALITY_UNITS[k]) for k, v in quality.items()})
 
     print(json.dumps({"record": record}))

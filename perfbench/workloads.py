@@ -25,6 +25,7 @@ from tupack import fileio, generator, geometry, packer, search
 from tupack.lowerbound import DemandPoint
 
 OMEGA = 95.0
+PROBE_EVERY_S = 0.4  # between two calls of run_pass's probe
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def build_solve_large() -> list[SolveJob]:
     return jobs
 
 
-CORPUS_DEMANDS = 3
+CORPUS_DEMANDS = 2
 
 
 def build_solve_corpus() -> list[SolveJob]:
@@ -91,7 +92,7 @@ def build_solve_corpus() -> list[SolveJob]:
     return jobs
 
 
-SCHEME1_ROWS = range(2, 101, 6)  # 1-based built-in rows 2, 8, ..., 98
+SCHEME1_ROWS = range(2, 101, 12)  # 1-based built-in rows 2, 14, ..., 98
 SCHEME3_ROWS = range(1, 101)
 
 
@@ -176,34 +177,50 @@ class PassResult:
     texts: list = field(default_factory=list)  # written solution, None when failed
     qualities: list = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
+    probe_s: list[float] = field(default_factory=list)  # speed probes taken during the pass
+    scaled: list[float] = field(default_factory=list)  # times at the reference speed
 
     @property
     def failed(self) -> int:
         return sum(t is None for t in self.texts)
 
 
-def run_pass(jobs, order, tracer=None) -> PassResult:
+def run_pass(jobs, order, tracer=None, probe=None) -> PassResult:
     """Run every job once in ``order``, then check and score the outputs.
 
     Only the jobs are timed, and only they run under ``tracer`` when one is
-    given. A job that raises or writes a wrong solution is recorded as a
-    failure; the pass goes on.
+    given. ``probe``, when given, is a ``speed.SpeedProbe``: it times the
+    host's speed before the first job and then about once per
+    ``PROBE_EVERY_S``, in the middle of a job too; its time is taken out of
+    the job's, and the probes near a job scale its time to the reference
+    speed. A job that raises or writes a wrong solution is recorded as
+    a failure; the pass goes on.
     """
     n = len(jobs)
     times = [0.0] * n
     outputs = [None] * n
-    with tracer or contextlib.nullcontext():
-        start = time.perf_counter()
+    spans = [(0.0, 0.0)] * n
+    first_probe = 0 if probe is None else len(probe.samples)
+    clock = time.perf_counter if probe is None else probe.job_clock
+    pacing = contextlib.nullcontext() if probe is None else probe.every(PROBE_EVERY_S)
+    with tracer or contextlib.nullcontext(), pacing:
         for i in order:
-            t = time.perf_counter()
+            t = clock()
             try:
                 outputs[i] = jobs[i].run()
             except Exception:
                 outputs[i] = traceback.format_exc()
-            times[i] = time.perf_counter() - t
-        wall = time.perf_counter() - start
+            spans[i] = (t, clock())
+            times[i] = spans[i][1] - t
+    if probe is None:
+        probe_s, scaled = [], times
+    else:
+        probe_s = probe.samples[first_probe:]
+        factors = probe.job_factors(spans, first_probe)
+        scaled = [t * f for t, f in zip(times, factors)]
 
-    result = PassResult(wall, times, 0, [None] * n, [None] * n)
+    result = PassResult(sum(times), times, 0, [None] * n, [None] * n,
+                        probe_s=probe_s, scaled=scaled)
     for i, (job, out) in enumerate(zip(jobs, outputs)):
         if isinstance(out, str):
             result.failures.append(f"{job.name}: raised\n{out}")
