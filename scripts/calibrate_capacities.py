@@ -25,29 +25,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from tupack.generator import BUILTIN_DEMANDS
 from tupack.geometry import TuType
 from tupack.lowerbound import DemandPoint, solve_lower_bound
-
-# (volume m^3, weight kg) demand points, index = row id - 1
-DEMANDS = [
-    (17, 783), (5, 1579), (13, 4289), (30, 5076), (10, 3463), (15, 3242),
-    (18, 1869), (10, 1519), (30, 4329), (12, 2433), (27, 113), (19, 2268),
-    (20, 2199), (11, 4103), (3, 4713), (18, 2346), (23, 3829), (3, 2062),
-    (27, 4300), (16, 3941), (1, 3087), (15, 4276), (10, 3962), (12, 4268),
-    (18, 4348), (20, 589), (3, 1480), (25, 4872), (3, 2655), (25, 412),
-    (22, 2579), (8, 2806), (4, 366), (6, 4291), (16, 3398), (11, 3266),
-    (1, 1765), (26, 2738), (24, 1525), (25, 182), (18, 3000), (7, 4081),
-    (4, 566), (28, 2693), (12, 3546), (19, 3131), (29, 3708), (18, 1230),
-    (28, 279), (20, 865), (23, 1069), (13, 299), (12, 919), (30, 16452),
-    (14, 2617), (2, 2913), (29, 14500), (6, 1088), (1, 949), (5, 253),
-    (28, 3647), (16, 11706), (25, 15575), (10, 1643), (13, 8389), (9, 5016),
-    (1, 1500), (26, 11823), (2, 3193), (15, 6144), (24, 11663), (22, 3816),
-    (1, 4500), (11, 8031), (25, 14057), (28, 15980), (4, 3476), (29, 1025),
-    (17, 2959), (26, 1695), (26, 4933), (25, 4002), (3, 1578), (18, 4082),
-    (30, 14555), (29, 14766), (4, 1417), (18, 3307), (17, 4401), (8, 1428),
-    (20, 12843), (9, 4156), (15, 11353), (20, 4866), (26, 12692), (22, 11209),
-    (26, 932), (14, 4888), (29, 11311), (13, 5656),
-]
 
 # target counts per row over (120x80x130, 120x80x160, 120x100x130,
 # 120x100x160, 120x120x130, 120x120x160)
@@ -105,9 +85,9 @@ def catalog_with(caps):
 def score(caps, rows=None):
     cat = catalog_with(caps)
     matched = []
-    rows = rows if rows is not None else range(len(DEMANDS))
+    rows = rows if rows is not None else range(len(BUILTIN_DEMANDS))
     for r in rows:
-        v, w = DEMANDS[r]
+        v, w = BUILTIN_DEMANDS[r]
         lb = solve_lower_bound(DemandPoint(v, w), cat)
         if lb.counts == TARGETS[r]:
             matched.append(r + 1)

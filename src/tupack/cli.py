@@ -41,6 +41,18 @@ from .render import render_tu_svg
 from .search import SearchParams, SolveStats, solve
 
 
+class InputError(ValueError):
+    """Malformed input (an instance or catalog file, or a flag value) or an
+    out-of-range parameter; exits with code 2."""
+
+
+def _read_input(read, path):
+    try:
+        return read(path)
+    except FormatError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float, default=None, help="CG term weight")
     p.add_argument("--beta", type=float, default=None, help="fixed cost per TU (liters)")
@@ -58,14 +70,17 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 
 def _params(args, inst):
-    objective = ObjectiveParams(
-        args.alpha if args.alpha is not None else inst.objective.alpha,
-        args.theta if args.theta is not None else inst.objective.theta,
-        args.beta if args.beta is not None else inst.objective.beta,
-    )
-    cost = CostParams(args.cost_n, args.cost_m, args.cost_theta, args.cost_lambda)
-    sort = SortParams(args.sort_n, args.sort_m)
-    search = SearchParams(args.omega, args.gamma, args.micro_repeats, args.seed)
+    try:
+        objective = ObjectiveParams(
+            args.alpha if args.alpha is not None else inst.objective.alpha,
+            args.theta if args.theta is not None else inst.objective.theta,
+            args.beta if args.beta is not None else inst.objective.beta,
+        )
+        cost = CostParams(args.cost_n, args.cost_m, args.cost_theta, args.cost_lambda)
+        sort = SortParams(args.sort_n, args.sort_m)
+        search = SearchParams(args.omega, args.gamma, args.micro_repeats, args.seed)
+    except ValueError as exc:
+        raise InputError(f"bad parameter: {exc}") from exc
     return objective, cost, sort, search
 
 
@@ -74,7 +89,7 @@ def _parse_demand(text: str) -> DemandPoint:
         v, w = text.split(",")
         return DemandPoint(float(v), float(w))
     except ValueError as exc:
-        raise SystemExit(f"bad --demand {text!r}: expected VOLUME,WEIGHT") from exc
+        raise InputError(f"bad --demand {text!r}: expected non-negative VOLUME,WEIGHT") from exc
 
 
 def cmd_generate(args) -> int:
@@ -91,11 +106,11 @@ def cmd_generate(args) -> int:
     if args.bounds:
         try:
             lo, hi = (int(t) for t in args.bounds.split(","))
+            bounds = PartitionBounds(lo, hi, lo, hi, lo, hi)
         except ValueError as exc:
-            raise SystemExit(f"bad --bounds {args.bounds!r}: expected LB,UB") from exc
-        bounds = PartitionBounds(lo, hi, lo, hi, lo, hi)
+            raise InputError(f"bad --bounds {args.bounds!r}: expected LB,UB with 0 < LB <= UB") from exc
     catalog_path = args.catalog or os.environ.get("TUPACK_CATALOG")
-    catalog = read_catalog(catalog_path) if catalog_path else None
+    catalog = _read_input(read_catalog, catalog_path) if catalog_path else None
     for i, demand in enumerate(demands, 1):
         name = f"gen{i:03d}_s{args.scheme}"
         inst, ref = generate_instance(
@@ -109,7 +124,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = read_instance(args.instance)
+    inst = _read_input(read_instance, args.instance)
     objective, cost, sort, search = _params(args, inst)
     stats = SolveStats()
     t0 = time.perf_counter()
@@ -130,7 +145,7 @@ def cmd_validate(args) -> int:
 
     from .geometry import fitness as recompute_fitness
 
-    inst = read_instance(args.instance)
+    inst = _read_input(read_instance, args.instance)
     sol, inst_name, recorded = read_solution(args.solution, inst)
     problems: list[str] = []
     if inst_name != inst.name:
@@ -163,7 +178,7 @@ def cmd_validate(args) -> int:
 
 def _batch_one(task):
     path, omega, seed, args_dict = task
-    inst = read_instance(path)
+    inst = _read_input(read_instance, path)
     ns = argparse.Namespace(**args_dict, omega=omega, seed=seed)
     objective, cost, sort, search = _params(ns, inst)
     stats = SolveStats()
@@ -180,7 +195,10 @@ def cmd_batch(args) -> int:
     if not instances:
         print(f"no *.inst.txt under {args.instances}", file=sys.stderr)
         return 2
-    omegas = [float(t) for t in args.omegas.split(",")]
+    try:
+        omegas = [float(t) for t in args.omegas.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad --omegas {args.omegas!r}: expected comma-separated numbers") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     args_dict = {
@@ -219,7 +237,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_render(args) -> int:
-    inst = read_instance(args.instance)
+    inst = _read_input(read_instance, args.instance)
     sol, _, _ = read_solution(args.solution, inst)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -232,7 +250,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    inst = read_instance(args.instance)
+    inst = _read_input(read_instance, args.instance)
     sol_a, name_a, _ = read_solution(args.solution_a, inst)
     sol_b, name_b, _ = read_solution(args.solution_b, inst)
     if name_a != name_b or name_a != inst.name:
@@ -311,9 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Exit codes: 0 success; 1 a failed solve, an invalid
+    or unreadable solution, or an unreadable file; 2 a malformed instance or
+    catalog, or a flag value malformed or out of range."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

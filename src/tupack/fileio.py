@@ -86,6 +86,8 @@ def parse_instance(text: str) -> Instance:
     catalog: list[TuType] = []
     lb_counts: dict[str, int] = {}
     boxes: list[BoxSpec] = []
+    type_ids: set[str] = set()
+    box_ids: set[str] = set()
     saw_header = False
     for ln, toks in _records(text):
         tag = toks[0]
@@ -103,12 +105,18 @@ def parse_instance(text: str) -> Instance:
             elif tag == "theta":
                 theta = float(toks[1])
             elif tag == "tutype":
+                if toks[1] in type_ids:
+                    raise FormatError(f"line {ln}: duplicate tutype id {toks[1]!r}")
+                type_ids.add(toks[1])
                 catalog.append(
                     TuType(toks[1], int(toks[2]), int(toks[3]), int(toks[4]), int(toks[5]))
                 )
             elif tag == "lb":
                 lb_counts[toks[1]] = int(toks[2])
             elif tag == "box":
+                if toks[1] in box_ids:
+                    raise FormatError(f"line {ln}: duplicate box id {toks[1]!r}")
+                box_ids.add(toks[1])
                 boxes.append(
                     BoxSpec(
                         toks[1], int(toks[2]), int(toks[3]), int(toks[4]), int(toks[5]),

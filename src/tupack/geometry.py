@@ -196,70 +196,54 @@ class Violation:
 
 
 class LoadedTu:
-    """A transport unit with its current load and extreme-point list.
+    """A transport unit with its current load and extreme-point array.
 
-    The EP list is owned by the constructive packer; it is stored here so the
-    local searches can keep packing into a TU without rebuilding state. Cached
-    numpy views of the placement geometry back the packer's vectorized
-    feasibility checks and are rebuilt lazily after each mutation.
+    The EP array (int64, one ``(x, y, z, rx, ry, rz)`` row per EP) is owned by
+    the constructive packer; it is stored here so the local searches can keep
+    packing into a TU without rebuilding state. A cached numpy view of the
+    placement geometry backs the packer's vectorized checks. Both are
+    replaced, never edited in place, so clones share them safely.
     """
 
-    __slots__ = ("tu_type", "placements", "eps", "total_weight", "_geom", "_ep_geom")
+    __slots__ = ("tu_type", "placements", "eps", "total_weight", "_geom")
 
     def __init__(self, tu_type: TuType, placements=None, eps=None):
         self.tu_type = tu_type
         self.placements: list[Placement] = list(placements or [])
-        self.eps = list(eps or [])
+        self.eps = np.empty((0, 6), dtype=np.int64) if eps is None else eps
         self.total_weight = sum(p.box.weight for p in self.placements)
         self._geom = None
-        self._ep_geom = None
 
     @property
     def nbox(self) -> int:
         return len(self.placements)
 
     def clone(self) -> "LoadedTu":
-        return LoadedTu(self.tu_type, self.placements, self.eps)
-
-    def invalidate(self):
-        self._geom = None
-        self._ep_geom = None
+        twin = LoadedTu(self.tu_type, self.placements, self.eps)
+        twin._geom = self._geom
+        return twin
 
     def add(self, placement: Placement):
         self.placements.append(placement)
         self.total_weight += placement.box.weight
-        self._geom = None
+        if self._geom is not None:
+            self._geom = tuple(
+                np.concatenate((a, b), axis=-1)
+                for a, b in zip(self._geom, _geometry_of([placement]))
+            )
 
     def remove_at(self, index: int) -> Placement:
         p = self.placements.pop(index)
         self.total_weight -= p.box.weight
-        self.invalidate()
+        self._geom = None
         return p
 
     def geometry(self):
-        """(x, y, z, w, l, h) int64 arrays plus a non-stackable mask."""
+        """Lower and upper box corners as (3, P) int64 arrays, one row per
+        axis, plus a (P,) non-stackable mask."""
         if self._geom is None:
-            ps = self.placements
-            arr = np.array(
-                [(p.x, p.y, p.z, p.w, p.l, p.h) for p in ps], dtype=np.int64
-            ).reshape(len(ps), 6)
-            nonstack = np.array([not p.box.stackable for p in ps], dtype=bool)
-            self._geom = (
-                arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4], arr[:, 5],
-                nonstack,
-            )
+            self._geom = _geometry_of(self.placements)
         return self._geom
-
-    def ep_geometry(self):
-        """(x, y, z, rx, ry, rz) int64 arrays of the current EP list."""
-        if self._ep_geom is None:
-            arr = np.array(
-                [(e.x, e.y, e.z, e.rx, e.ry, e.rz) for e in self.eps], dtype=np.int64
-            ).reshape(len(self.eps), 6)
-            self._ep_geom = (
-                arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4], arr[:, 5]
-            )
-        return self._ep_geom
 
     def boxes_volume(self) -> int:
         return sum(p.box.volume for p in self.placements)
@@ -278,6 +262,15 @@ class LoadedTu:
 
     def __repr__(self):
         return f"LoadedTu({self.tu_type.id}, nbox={self.nbox}, weight={self.total_weight})"
+
+
+def _geometry_of(placements: list[Placement]):
+    box = np.array(
+        [(p.x, p.y, p.z, p.w, p.l, p.h) for p in placements], dtype=np.int64
+    ).reshape(-1, 6).T
+    lo = np.ascontiguousarray(box[:3])
+    nonstack = np.array([not p.box.stackable for p in placements], dtype=bool)
+    return lo, lo + box[3:], nonstack
 
 
 def validate_tu(tu: LoadedTu) -> list[Violation]:

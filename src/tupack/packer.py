@@ -6,11 +6,16 @@ anchored there may have before hitting the TU wall or the first obstructing
 box along that axis ray. Residuals are a necessary but not sufficient fit
 condition, so every candidate also passes an exact overlap check against the
 boxes already loaded.
+
+One array kernel does the work: a single ray function, a single fit test and
+a single pricing formula, each vectorized over many points or candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +29,9 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class ExtremePoint:
-    """Candidate anchor with residual maxima along each axis."""
+class ExtremePoint(NamedTuple):
+    """Candidate anchor with residual maxima along each axis: one row of a
+    TU's EP array, with names."""
 
     x: int
     y: int
@@ -119,244 +124,270 @@ def sort_boxes(boxes: list[BoxSpec], tut: TuType, sp: SortParams = DEFAULT_SORT)
 
 
 # ---------------------------------------------------------------------------
-# Residual rays and EP bookkeeping
+# Rays, residuals and EP bookkeeping
+#
+# A TU's EPs are one read-only int64 (E, 6) array of rows (x, y, z, rx, ry,
+# rz). Every change builds a new array, because ``LoadedTu.clone`` shares it.
+# Placements are read from ``LoadedTu.geometry`` as (3, P) lower and upper
+# corner arrays, one row per axis, so the long box axis is the inner one in
+# every (3, points, boxes) comparison. All spans are half-open, so faces
+# that merely touch neither cover nor block.
 
-def _drop_down(x: int, y: int, z: int, tu: LoadedTu) -> int:
-    """Z of the first top face (or the floor) below the point on its XY column."""
-    if not tu.placements:
-        return 0
-    px, py, pz, pw, pl, ph, _ = tu.geometry()
-    tops = pz + ph
-    hit = (tops <= z) & (px <= x) & (x < px + pw) & (py <= y) & (y < py + pl)
-    return int(tops[hit].max()) if hit.any() else 0
-
-
-def _project_south(x: int, y: int, z: int, tu: LoadedTu) -> int:
-    """Y of the first north face (or the south wall) hit going south."""
-    if not tu.placements:
-        return 0
-    px, py, pz, pw, pl, ph, _ = tu.geometry()
-    norths = py + pl
-    hit = (norths <= y) & (px <= x) & (x < px + pw) & (pz <= z) & (z < pz + ph)
-    return int(norths[hit].max()) if hit.any() else 0
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
-def _project_west(x: int, y: int, z: int, tu: LoadedTu) -> int:
-    """X of the first east face (or the west wall) hit going west."""
-    if not tu.placements:
-        return 0
-    px, py, pz, pw, pl, ph, _ = tu.geometry()
-    easts = px + pw
-    hit = (easts <= x) & (py <= y) & (y < py + pl) & (pz <= z) & (z < pz + ph)
-    return int(easts[hit].max()) if hit.any() else 0
+def _ray(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, axis: int) -> np.ndarray:
+    """Per point, the coordinate reached going from it toward the origin on
+    ``axis``: the nearest far face of a box whose cross-section covers the
+    point, or the TU wall at 0."""
+    p = pts.T[:, :, None]
+    inside = (lo[:, None] <= p) & (p < hi[:, None])
+    inside[axis] = hi[axis] <= p[axis]
+    hit = inside[0] & inside[1] & inside[2]
+    return np.where(hit, hi[axis], 0).max(axis=1, initial=0)
 
 
-def _candidate_points(p: Placement, tu: LoadedTu) -> list[tuple[int, int, int]]:
-    """The up-to-five anchor points a placed box contributes.
+# per axis, the two other axes
+_OTHER_1, _OTHER_2 = np.array([1, 0, 0]), np.array([2, 2, 1])
+
+
+def _measure(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, dims: np.ndarray):
+    """Per point, whether a box covers it, and its (N, 3) residuals: the
+    distance to the nearest box face or TU wall ahead on each axis ray."""
+    p = pts.T[:, :, None]
+    inside = (lo[:, None] <= p) & (p < hi[:, None])
+    # a box blocks the ray on an axis when it starts at or beyond the point
+    # there and its spans on the two other axes cover the point
+    others = inside[_OTHER_1] & inside[_OTHER_2]
+    covered = (inside[0] & others[0]).any(axis=1)
+    resid = np.where((lo[:, None] >= p) & others, lo[:, None], dims[:, None, None]).min(axis=2)
+    return covered, resid.T - pts
+
+
+def _live(lo, hi, pts: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """EP rows of the points that no box covers and that have room on every axis."""
+    covered, resid = _measure(lo, hi, pts, dims)
+    keep = ~covered & (resid > 0).all(axis=1)
+    return np.concatenate((pts[keep], resid[keep]), axis=1)
+
+
+def _new_points(pts: np.ndarray, dims: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Points inside the TU (coordinates are never negative) that are not
+    among the ``known`` (K, 3) distinct points, first occurrence of each, in
+    order."""
+    pts = pts[(pts < dims).all(axis=1)]
+    key = (dims[1] * dims[2], dims[2], 1)
+    _, first = np.unique(np.concatenate((known @ key, pts @ key)), return_index=True)
+    first = np.sort(first[first >= len(known)]) - len(known)
+    return pts[first]
+
+
+def _candidate_points(lo, hi, stackable: np.ndarray, blo, bhi) -> np.ndarray:
+    """The up-to-five anchor points each box (columns of ``blo``/``bhi``)
+    contributes, as (N, 3) rows, box by box and rule by rule.
 
     Rule 1 projects the east-south-down corner down then south; rule 2 the
     west-north-down corner down then west. Rules 3-5 apply only to stackable
-    boxes: the top corner itself plus its south and west projections.
+    boxes: the top corner itself plus its south and west projections. Rays
+    run against the whole load (``lo``/``hi``).
     """
-    pts = []
-    ex, ny, tz = p.x + p.w, p.y + p.l, p.z + p.h
-
-    zz = _drop_down(ex, p.y, p.z, tu)
-    pts.append((ex, _project_south(ex, p.y, zz, tu), zz))
-
-    zz = _drop_down(p.x, ny, p.z, tu)
-    pts.append((_project_west(p.x, ny, zz, tu), ny, zz))
-
-    if p.box.stackable:
-        pts.append((p.x, p.y, tz))
-        pts.append((p.x, _project_south(p.x, p.y, tz, tu), tz))
-        pts.append((_project_west(p.x, p.y, tz, tu), p.y, tz))
-    return pts
+    n = blo.shape[1]
+    pts = np.repeat(blo.T[:, None], 5, axis=1)  # (box, rule, axis)
+    pts[:, 0, 0] = bhi[0]  # rule 1 starts at the east-south-down corner
+    pts[:, 1, 1] = bhi[1]  # rule 2 at the west-north-down corner
+    pts[:, 2:, 2] = bhi[2][:, None]  # rules 3-5 at the top corner
+    # rules 1-2 drop down; then rules 1 and 4 go south, rules 2 and 5 go west
+    pts[:, :2, 2] = _ray(lo, hi, pts[:, :2].reshape(-1, 3), 2).reshape(n, 2)
+    pts[:, (0, 3), 1] = _ray(lo, hi, pts[:, (0, 3)].reshape(-1, 3), 1).reshape(n, 2)
+    pts[:, (1, 4), 0] = _ray(lo, hi, pts[:, (1, 4)].reshape(-1, 3), 0).reshape(n, 2)
+    rules = np.ones((n, 5), dtype=bool)
+    rules[:, 2:] = stackable[:, None]
+    return pts[rules]
 
 
-def _build_eps(tu: LoadedTu, points) -> list[ExtremePoint]:
-    """Filter candidate points into live EPs with freshly computed residuals.
-
-    Drops points outside the open TU interior, points swallowed by a box's
-    anchor region, and points whose residual vanished on any axis; duplicate
-    coordinates keep their first occurrence. A residual is the distance to
-    the first obstruction along the axis ray: a box obstructs +X iff it
-    starts at or beyond the point and its Y and Z spans cover it (half-open,
-    so a face merely touching the ray line does not block). All points are
-    measured in one vectorized pass against the placement arrays.
-    """
-    tut = tu.tu_type
-    seen: set[tuple[int, int, int]] = set()
-    pts: list[tuple[int, int, int]] = []
-    for p in points:
-        if p in seen:
-            continue
-        seen.add(p)
-        if 0 <= p[0] < tut.x and 0 <= p[1] < tut.y and 0 <= p[2] < tut.z:
-            pts.append(p)
-    if not pts:
-        return []
-    if not tu.placements:
-        return [
-            ExtremePoint(x, y, z, tut.x - x, tut.y - y, tut.z - z) for (x, y, z) in pts
-        ]
-    px, py, pz, pw, pl, ph, _ = tu.geometry()
-    pt = np.array(pts, dtype=np.int64)
-    xs, ys, zs = pt[:, 0:1], pt[:, 1:2], pt[:, 2:3]
-    cov_x = (px[None, :] <= xs) & (xs < (px + pw)[None, :])
-    cov_y = (py[None, :] <= ys) & (ys < (py + pl)[None, :])
-    cov_z = (pz[None, :] <= zs) & (zs < (pz + ph)[None, :])
-    covered = (cov_x & cov_y & cov_z).any(axis=1)
-    rx = np.where((px[None, :] >= xs) & cov_y & cov_z, px[None, :], tut.x).min(axis=1) - pt[:, 0]
-    ry = np.where((py[None, :] >= ys) & cov_x & cov_z, py[None, :], tut.y).min(axis=1) - pt[:, 1]
-    rz = np.where((pz[None, :] >= zs) & cov_x & cov_y, pz[None, :], tut.z).min(axis=1) - pt[:, 2]
-    keep = ~covered & (rx > 0) & (ry > 0) & (rz > 0)
-    return [
-        ExtremePoint(pts[i][0], pts[i][1], pts[i][2], int(rx[i]), int(ry[i]), int(rz[i]))
-        for i in np.nonzero(keep)[0]
-    ]
+@lru_cache(maxsize=64)
+def _dims(tut: TuType) -> np.ndarray:
+    return _frozen(np.array((tut.x, tut.y, tut.z), dtype=np.int64))
 
 
 def update_eps(tu: LoadedTu, placed: Placement):
-    """Refresh the EP list after an insertion.
+    """Refresh the EP array after an insertion.
 
-    The consumed EP disappears (it is now covered by the box), the new box
-    contributes its projection points, and every surviving EP gets its
-    residuals recomputed against the enlarged load.
+    Loads only grow between rebuilds, so each old EP is checked against the
+    new box alone: it dies if the box covers it, and each residual becomes
+    the smaller of the old one and the distance to the box (the residual-space
+    update of Crainic, Perboli & Tadei). The new box's projection points that
+    are not already EPs are measured against the whole load and appended.
     """
-    points = [(e.x, e.y, e.z) for e in tu.eps]
-    points.extend(_candidate_points(placed, tu))
-    tu.eps = _build_eps(tu, points)
-    tu._ep_geom = None
+    dims = _dims(tu.tu_type)
+    box = np.array([[placed.x, placed.y, placed.z, placed.w, placed.l, placed.h]]).T
+    blo, bhi = box[:3], box[:3] + box[3:]
+    old = tu.eps
+    covered, resid = _measure(blo, bhi, old[:, :3], dims)
+    resid = np.minimum(old[:, 3:], resid)
+    keep = ~covered & (resid > 0).all(axis=1)
+    lo, hi, _ = tu.geometry()
+    cand = _candidate_points(lo, hi, np.array([placed.box.stackable]), blo, bhi)
+    cand = _new_points(cand, dims, old[:, :3])
+    tu.eps = _frozen(np.concatenate((
+        np.concatenate((old[keep, :3], resid[keep]), axis=1), _live(lo, hi, cand, dims))))
 
 
-def eps_of_layout(tu: LoadedTu) -> list[ExtremePoint]:
-    """The EP set derived from a layout alone, with no construction history.
+def eps_of_layout(tu: LoadedTu) -> np.ndarray:
+    """The EP array derived from a layout alone, with no construction history.
 
     Used to re-seed a TU after a local-search removal: the origin plus every
-    box's projection points, filtered and measured exactly like the
-    incremental update. An empty TU yields the single origin EP.
+    box's projection points, deduplicated in that order and measured exactly
+    like the incremental update. An empty TU yields the single origin EP.
     """
-    points: list[tuple[int, int, int]] = [(0, 0, 0)]
-    for p in tu.placements:
-        points.extend(_candidate_points(p, tu))
-    return _build_eps(tu, points)
+    if not tu.placements:
+        return _origin_eps(tu.tu_type)
+    dims = _dims(tu.tu_type)
+    lo, hi, nonstack = tu.geometry()
+    pts = np.concatenate((
+        np.zeros((1, 3), dtype=np.int64),
+        _candidate_points(lo, hi, ~nonstack, lo, hi),
+    ))
+    return _frozen(_live(lo, hi, _new_points(pts, dims, pts[:0]), dims))
+
+
+def _origin_eps(tut: TuType) -> np.ndarray:
+    return _frozen(np.array([[0, 0, 0, tut.x, tut.y, tut.z]], dtype=np.int64))
 
 
 def fresh_tu(tut: TuType) -> LoadedTu:
-    """An empty TU whose EP list holds only the origin."""
-    tu = LoadedTu(tut)
-    tu.eps = [ExtremePoint(0, 0, 0, tut.x, tut.y, tut.z)]
-    return tu
+    """An empty TU whose EP array holds only the origin."""
+    return LoadedTu(tut, eps=_origin_eps(tut))
 
 
 # ---------------------------------------------------------------------------
 # Fit test and pricing
 
-def can_fit(tu: LoadedTu, ep: ExtremePoint, ob: Orientation, box: BoxSpec | None = None) -> bool:
-    """Whether an oriented box can sit at this EP.
+@lru_cache(maxsize=4096)
+def _extents(box: BoxSpec) -> np.ndarray:
+    """(O, 3) extents of the box's allowed orientations, in enumeration order."""
+    return _frozen(np.array([(o.w, o.l, o.h) for o in enumerate_orientations(box)], dtype=np.int64))
+
+
+def _room(ep, ext):
+    """The residual test: whether each extent fits within the EP's residual
+    maxima. ``ep`` unpacks to (x, y, z, rx, ry, rz) and ``ext`` to (w, l, h),
+    as scalars or broadcastable arrays."""
+    _, _, _, rx, ry, rz = ep
+    w, l, h = ext
+    return (w <= rx) & (l <= ry) & (h <= rz)
+
+
+def _fits(tu: LoadedTu, anchors: np.ndarray, ext: np.ndarray, stackable: bool) -> np.ndarray:
+    """Per candidate (rows of ``anchors`` and ``ext``), whether the oriented
+    box sits there without overlapping a loaded box, without intruding above
+    a non-stackable one, and, when it is itself non-stackable, without a
+    loaded box above it. Residuals are checked separately by ``_room``."""
+    lo, hi, nonstack = tu.geometry()
+    a = anchors.T[:, :, None]
+    top = a + ext.T[:, :, None]
+    apart = (lo[:, None] < top) & (a < hi[:, None])
+    bad = apart[2]
+    if nonstack.any():
+        bad = bad | (nonstack & (top[2] > hi[2]))
+    if not stackable:
+        bad = bad | (hi[2] > top[2])
+    return ~(apart[0] & apart[1] & bad).any(axis=1)
+
+
+def _price(ep, ext, nbox: int, cp: CostParams):
+    """The pricing formula. ``ep`` unpacks to (x, y, z, rx, ry, rz) and
+    ``ext`` to (w, l, h), as scalars or broadcastable arrays."""
+    x, y, z, rx, ry, rz = ep
+    w, l, h = ext
+    return (
+        cp.big_n * z + x + y
+        + cp.big_m * (z + h)
+        - cp.big_n * cp.theta * ((rx - w) + (ry - l))
+        + cp.lam * ((rx % w) + (ry % l))
+        - nbox
+    )
+
+
+def can_fit(tu: LoadedTu, ep, ob: Orientation, box: BoxSpec | None = None) -> bool:
+    """Whether an oriented box can sit at this EP (an ``ExtremePoint`` or a row
+    of ``tu.eps``).
 
     Stage one compares extents against the EP residual maxima; stage two
     checks exact overlap and stackability against every loaded box. A box
     within residuals still overlaps whenever an obstruction sits off the
     EP's axis rays, so stage two is never skipped.
     """
-    if ob.w > ep.rx or ob.l > ep.ry or ob.h > ep.rz:
+    ext = (ob.w, ob.l, ob.h)
+    if not _room(ep, ext):
         return False
     if not tu.placements:
         return True
     stackable = box.stackable if box is not None else True
-    px, py, pz, pw, pl, ph, nonstack = tu.geometry()
-    x0, y0, z0 = ep.x, ep.y, ep.z
-    ox = (np.maximum(px, x0) < np.minimum(px + pw, x0 + ob.w))
-    oy = (np.maximum(py, y0) < np.minimum(py + pl, y0 + ob.l))
-    if bool((ox & oy & (np.maximum(pz, z0) < np.minimum(pz + ph, z0 + ob.h))).any()):
-        return False
-    xy = ox & oy
-    # intruding above a non-stackable box, or pre-existing boxes above a
-    # non-stackable candidate
-    if bool((xy & nonstack & (z0 + ob.h > pz + ph)).any()):
-        return False
-    if not stackable and bool((xy & (pz + ph > z0 + ob.h)).any()):
-        return False
-    return True
+    return bool(_fits(tu, np.array([ep[:3]]), np.array([ext]), stackable)[0])
 
 
-def placement_cost(ep: ExtremePoint, ob: Orientation, nbox: int, cp: CostParams = DEFAULT_COST) -> float:
+def placement_cost(ep, ob: Orientation, nbox: int, cp: CostParams = DEFAULT_COST) -> float:
     """Price of anchoring an oriented box at an EP (lower is better).
 
     Prefers low, western-southern anchors, low resulting tops, snug use of
     the residual span, positions whose remainder divides into whole box
     extents, and fuller TUs.
     """
-    return (
-        cp.big_n * ep.z + ep.x + ep.y
-        + cp.big_m * (ep.z + ob.h)
-        - cp.big_n * cp.theta * ((ep.rx - ob.w) + (ep.ry - ob.l))
-        + cp.lam * ((ep.rx % ob.w) + (ep.ry % ob.l))
-        - nbox
-    )
+    return float(_price(ep, (ob.w, ob.l, ob.h), nbox, cp))
 
 
 def best_spot(tu: LoadedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST):
     """Cheapest feasible (EP, orientation) of a box in one TU, or None.
 
-    Vectorized over the EP list per orientation; ties resolve to the lowest
-    cost, then the earliest EP in list order, then the earliest orientation
-    code. Weight capacity is respected.
+    Every (EP, orientation) pair that passes the residual test is priced at
+    once and ranked by (cost, EP index, orientation index): a stable sort of
+    the EP-major cost grid gives exactly that order. The ranked candidates
+    are then fit-tested in order, and the first that fits wins. Weight
+    capacity is respected.
     """
-    if not tu.eps or tu.total_weight + box.weight > tu.tu_type.q:
+    eps = tu.eps
+    if not len(eps) or tu.total_weight + box.weight > tu.tu_type.q:
         return None
-    ex, ey, ez, erx, ery, erz = tu.ep_geometry()
-    nbox = tu.nbox
-    have_load = bool(tu.placements)
-    if have_load:
-        px, py, pz, pw, pl, ph, nonstack = tu.geometry()
-        any_nonstack = bool(nonstack.any())
-    best = None
-    for oi, ob in enumerate(enumerate_orientations(box)):
-        mask = (ob.w <= erx) & (ob.l <= ery) & (ob.h <= erz)
-        if not mask.any():
-            continue
-        idx = np.nonzero(mask)[0]
-        if have_load:
-            cx, cy, cz = ex[idx], ey[idx], ez[idx]
-            ox = np.maximum(px[None, :], cx[:, None]) < np.minimum(
-                (px + pw)[None, :], (cx + ob.w)[:, None])
-            oy = np.maximum(py[None, :], cy[:, None]) < np.minimum(
-                (py + pl)[None, :], (cy + ob.l)[:, None])
-            xy = ox & oy
-            oz = np.maximum(pz[None, :], cz[:, None]) < np.minimum(
-                (pz + ph)[None, :], (cz + ob.h)[:, None])
-            bad = (xy & oz).any(axis=1)
-            if any_nonstack:
-                bad |= (xy & nonstack[None, :]
-                        & ((cz + ob.h)[:, None] > (pz + ph)[None, :])).any(axis=1)
-            if not box.stackable:
-                bad |= (xy & ((pz + ph)[None, :] > (cz + ob.h)[:, None])).any(axis=1)
-            idx = idx[~bad]
-            if idx.size == 0:
-                continue
-        costs = (
-            cp.big_n * ez[idx] + ex[idx] + ey[idx]
-            + cp.big_m * (ez[idx] + ob.h)
-            - cp.big_n * cp.theta * ((erx[idx] - ob.w) + (ery[idx] - ob.l))
-            + cp.lam * ((erx[idx] % ob.w) + (ery[idx] % ob.l))
-            - nbox
-        )
-        k = int(np.argmin(costs))  # first minimum = lowest EP index
-        cand = (float(costs[k]), int(idx[k]), oi)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
+    ext = _extents(box)
+    # (orientation, EP) grids, transposed to EP-major before ranking
+    cols, ocols = np.ascontiguousarray(eps.T)[:, None], ext.T[:, :, None]
+    room = _room(cols, ocols)
+    n = np.count_nonzero(room)
+    if not n:
         return None
-    cost, ep_idx, oi = best
-    return cost, ep_idx, enumerate_orientations(box)[oi]
+    cost = np.where(room, _price(cols, ocols, tu.nbox, cp), np.inf).T.ravel()
+    rank = np.argsort(cost, kind="stable")[:n]
+    if tu.placements:
+        rank = _fitting(tu, eps, ext, rank, box.stackable)
+        if not len(rank):
+            return None
+    ep_idx, oi = divmod(int(rank[0]), len(ext))
+    return float(cost[rank[0]]), ep_idx, enumerate_orientations(box)[oi]
 
 
-def place_box(tu: LoadedTu, box: BoxSpec, ob: Orientation, ep: ExtremePoint) -> Placement:
-    """Anchor the box at the EP and refresh the TU's EP list."""
-    p = Placement.of(box, ob, ep.x, ep.y, ep.z)
+def _fitting(tu: LoadedTu, eps: np.ndarray, ext: np.ndarray, rank: np.ndarray, stackable: bool):
+    """``rank`` from its first candidate that fits on (empty when none does).
+
+    Candidates are flat indices into the EP-major grid; they are tested in
+    growing blocks, so an early hit costs one small test.
+    """
+    start, size = 0, 4
+    while start < len(rank):
+        block = rank[start:start + size]
+        fits = _fits(tu, eps[block // len(ext), :3], ext[block % len(ext)], stackable)
+        if fits.any():
+            return rank[start + int(fits.argmax()):]
+        start, size = start + size, size * 4
+    return rank[:0]
+
+
+def place_box(tu: LoadedTu, box: BoxSpec, ob: Orientation, ep) -> Placement:
+    """Anchor the box at the EP (a row of ``tu.eps`` or an ``ExtremePoint``)
+    and refresh the TU's EP array."""
+    p = Placement.of(box, ob, int(ep[0]), int(ep[1]), int(ep[2]))
     tu.add(p)
     update_eps(tu, p)
     return p
@@ -387,27 +418,41 @@ def pack_3dbp(
     that cannot fit even an empty TU of this type are reported unplaced.
     ``open_tus`` lets a caller resume packing into existing TUs; they are
     mutated in place. Deterministic: no randomness anywhere in this path.
+
+    A TU's ``best_spot`` answer depends on the box only through its shape
+    (extents, rotation flags, stackability), so it is kept per TU and shape
+    and reused until a box is placed in that TU. The weight check stays per
+    box.
     """
     tus: list[LoadedTu] = list(open_tus) if open_tus else []
+    spots: list[dict] = [{} for _ in tus]
     unplaced: list[BoxSpec] = []
     for box in sort_boxes(boxes, tut, sp):
         if not fits_empty(box, tut):
             unplaced.append(box)
             continue
+        shape = (box.width, box.length, box.height, box.txz, box.tyz, box.stackable)
         best = None
         for ti, tu in enumerate(tus):
-            spot = best_spot(tu, box, cp)
+            if tu.total_weight + box.weight > tu.tu_type.q:
+                continue
+            memo = spots[ti]
+            if shape not in memo:
+                memo[shape] = best_spot(tu, box, cp)
+            spot = memo[shape]
             if spot is None:
                 continue
             cost, ep_idx, ob = spot
-            if best is None or (cost, ti) < (best[0], best[1]):
-                best = (cost, ti, ep_idx, tu, ob)
+            if best is None or cost < best[0]:
+                best = (cost, ti, ep_idx, ob)
         if best is None:
             tu = fresh_tu(tut)
             tus.append(tu)
-            cost, ep_idx, ob = best_spot(tu, box, cp)
-            place_box(tu, box, ob, tu.eps[ep_idx])
+            spots.append({})
+            _, ep_idx, ob = best_spot(tu, box, cp)
         else:
-            _, _, ep_idx, tu, ob = best
-            place_box(tu, box, ob, tu.eps[ep_idx])
+            _, ti, ep_idx, ob = best
+            tu = tus[ti]
+            spots[ti].clear()
+        place_box(tu, box, ob, tu.eps[ep_idx])
     return PackResult(tus, unplaced)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .generator import Instance
 from .geometry import (
     BoxSpec,
@@ -27,9 +29,9 @@ from .geometry import (
     Solution,
     fill_rate,
     fitness,
-    xy_overlap,
 )
 from .packer import (
+    DEFAULT_COST,
     CostParams,
     SortParams,
     best_spot,
@@ -107,10 +109,6 @@ class SolveStats:
     trace: list[TraceEvent] = field(default_factory=list)
 
 
-def _solution_fitness(sol: Solution, objective: ObjectiveParams) -> float:
-    return fitness(sol, objective)
-
-
 def initialize(
     instance: Instance,
     pointer: TypePointer,
@@ -137,23 +135,17 @@ def initialize(
 
 def _top_layer(tu: LoadedTu) -> list[int]:
     """Indices of placements with nothing above their top face, ranked by
-    top height descending (placement order breaks ties)."""
-    idx = []
-    for i, p in enumerate(tu.placements):
-        clear = True
-        for j, q in enumerate(tu.placements):
-            if i != j and xy_overlap(p, q) and q.z + q.h > p.top:
-                clear = False
-                break
-        if clear:
-            idx.append(i)
-    idx.sort(key=lambda i: (-tu.placements[i].top, i))
-    return idx
+    top height descending (placement order breaks ties).
 
-
-def _refresh(tu: LoadedTu):
-    tu.eps = eps_of_layout(tu)
-    tu.invalidate()
+    A box is covered when another box's base strictly overlaps its own and
+    that box reaches higher.
+    """
+    lo, hi, _ = tu.geometry()
+    top = hi[2]
+    base = (lo[:2, :, None] < hi[:2, None]) & (lo[:2, None] < hi[:2, :, None])
+    covered = (base[0] & base[1] & (top > top[:, None])).any(axis=1)
+    idx = np.flatnonzero(~covered)
+    return idx[np.lexsort((idx, -top[idx]))].tolist()
 
 
 def _relocate(
@@ -163,7 +155,7 @@ def _relocate(
     cand = sol.clone()
     src, dst = cand.tus[origin], cand.tus[dest]
     moved = src.remove_at(pick)
-    _refresh(src)
+    src.eps = eps_of_layout(src)
     spot = best_spot(dst, moved.box, cost)
     if spot is None:
         return None
@@ -176,16 +168,15 @@ def _relocate(
 
 def try_swap(
     sol: Solution, tu_a: int, pick_a: int, tu_b: int, pick_b: int,
-    cost: CostParams | None = None,
+    cost: CostParams = DEFAULT_COST,
 ) -> Solution | None:
     """Exchange two boxes between TUs at their cheapest positions, if feasible."""
-    cost = cost or CostParams()
     cand = sol.clone()
     a, b = cand.tus[tu_a], cand.tus[tu_b]
     box_a = a.remove_at(pick_a)
     box_b = b.remove_at(pick_b)
-    _refresh(a)
-    _refresh(b)
+    a.eps = eps_of_layout(a)
+    b.eps = eps_of_layout(b)
     spot = best_spot(b, box_a.box, cost)
     if spot is None:
         return None
@@ -257,7 +248,7 @@ def move_n1(
                 continue
             pick = pool[rng.randrange(len(pool))]
             cand = _relocate(sol, origin, dest, pick, cost)
-            if cand is not None and _solution_fitness(cand, objective) < incumbent_fitness:
+            if cand is not None and fitness(cand, objective) < incumbent_fitness:
                 return cand
     return None
 
@@ -286,7 +277,7 @@ def move_n2(
         pick_i = top_i[rng.randrange(len(top_i))]
         pick_j = top_j[rng.randrange(len(top_j))]
         cand = try_swap(sol, i, pick_i, j, pick_j, cost)
-        if cand is not None and _solution_fitness(cand, objective) < incumbent_fitness:
+        if cand is not None and fitness(cand, objective) < incumbent_fitness:
             return cand
     return None
 
@@ -329,7 +320,7 @@ def move_n3(
         survivors = [tu for i, tu in enumerate(sol.tus) if i not in vset]
         released = [p.box for i in victims for p in sol.tus[i].placements]
         cand = _rebuild(survivors, released, pointer.current(), cost, sort)
-        if cand is not None and _solution_fitness(cand, objective) < incumbent_fitness:
+        if cand is not None and fitness(cand, objective) < incumbent_fitness:
             return cand
     return None
 
@@ -350,7 +341,7 @@ def ls1(
     the first move. Stops when one full pass yields no strict improvement.
     """
     incumbent = sol
-    value = _solution_fitness(sol, objective)
+    value = fitness(sol, objective)
     improved = True
     while improved:
         improved = False
@@ -362,7 +353,7 @@ def ls1(
             else:
                 cand = move_n3(incumbent, rng, pointer, objective, cost, sort, params, value)
             if cand is not None:
-                new_value = _solution_fitness(cand, objective)
+                new_value = fitness(cand, objective)
                 if stats is not None:
                     stats.ls1_improvements += 1
                     stats.ls1_gain += value - new_value
@@ -393,7 +384,7 @@ def ls2(
     rebuild is adopted and leaves the pointer on its type. A full scan with
     no improvement returns the input unchanged.
     """
-    value = _solution_fitness(sol, objective)
+    value = fitness(sol, objective)
     victims = [
         i
         for i, tu in enumerate(sol.tus)
@@ -408,7 +399,7 @@ def ls2(
         cand = _rebuild(survivors, released, tut, cost, sort)
         if cand is None:
             continue
-        new_value = _solution_fitness(cand, objective)
+        new_value = fitness(cand, objective)
         if new_value < value:
             pointer.index = idx
             if stats is not None:
@@ -439,7 +430,7 @@ def solve(
     pointer = TypePointer(instance.catalog)
     sol = initialize(instance, pointer, cost, sort)
     if stats is not None:
-        stats.initial_fitness = _solution_fitness(sol, objective) if sol.tus else 0.0
+        stats.initial_fitness = fitness(sol, objective) if sol.tus else 0.0
         stats.initial_tu_count = len(sol.tus)
         stats.trace.append(
             TraceEvent("init", stats.initial_fitness, len(sol.tus), sol.type_counts())
@@ -454,6 +445,6 @@ def solve(
         if not improved:
             break
     if stats is not None:
-        stats.final_fitness = _solution_fitness(sol, objective)
+        stats.final_fitness = fitness(sol, objective)
         stats.final_tu_count = len(sol.tus)
     return sol

@@ -3,13 +3,18 @@ from __future__ import annotations
 import pytest
 
 from tupack.geometry import BoxSpec, LoadedTu, Placement, TuType
-from tupack.packer import eps_of_layout
+from tupack.packer import ExtremePoint, eps_of_layout
 
 EURO_PALLET = TuType("120x80x130", 120, 80, 130, 1000)
 
 
 def _free_box(bid, w, l, h, weight=0):
     return BoxSpec(bid, w, l, h, weight, txz=True, tyz=True, stackable=True)
+
+
+def ep_list(eps):
+    """The rows of an EP array as named ``ExtremePoint`` tuples."""
+    return [ExtremePoint(*row) for row in eps.tolist()]
 
 
 def place(tu, box, w, l, h, x, y, z, code="wlh"):

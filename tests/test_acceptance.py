@@ -34,7 +34,7 @@ from tupack.lowerbound import DemandPoint, solve_lower_bound
 from tupack.packer import best_spot, can_fit
 from tupack.search import SearchParams, SolveStats, solve
 
-from conftest import WORKED_EXAMPLE_EPS
+from conftest import WORKED_EXAMPLE_EPS, ep_list
 
 
 def _passed(n: int, label: str):
@@ -115,13 +115,14 @@ def test_criterion_2_overlap_oracle():
 
 def test_criterion_3_worked_example(worked_example_tu):
     tu = worked_example_tu
-    got = {(e.x, e.y, e.z): (e.rx, e.ry, e.rz) for e in tu.eps}
+    got = {(e.x, e.y, e.z): (e.rx, e.ry, e.rz) for e in ep_list(tu.eps)}
     assert got == WORKED_EXAMPLE_EPS
     box = BoxSpec("n", 30, 40, 20, txz=True, tyz=True)
-    ep9 = next(e for e in tu.eps if (e.x, e.y, e.z) == (110, 40, 0))
+    ep9 = next(e for e in ep_list(tu.eps) if (e.x, e.y, e.z) == (110, 40, 0))
     assert all(not can_fit(tu, ep9, o, box) for o in enumerate_orientations(box))
     cost, ep_idx, ob = best_spot(tu, box)
-    assert (tu.eps[ep_idx].x, tu.eps[ep_idx].y, tu.eps[ep_idx].z) == (0, 60, 0)
+    ep = ep_list(tu.eps)[ep_idx]
+    assert (ep.x, ep.y, ep.z) == (0, 60, 0)
     assert (ob.w, ob.l, ob.h) == (40, 20, 30)
     _passed(3, "worked example")
 

@@ -278,3 +278,33 @@ def test_two_hand_built_layouts_volume_comparison(tmp_path):
     lines = buf.getvalue().splitlines()
     vols = lines[2].split(",")
     assert vols[1] == "2784" and vols[2] == "3072"
+
+
+def test_solve_rejects_duplicate_box_ids(workspace, tmp_path, capsys):
+    text = (workspace / "inst" / "gen001_s3.inst.txt").read_text()
+    ids = re.findall(r"^box (\S+)", text, flags=re.M)
+    dup = tmp_path / "dup.inst.txt"
+    dup.write_text(re.sub(rf"^box {ids[1]} ", f"box {ids[0]} ", text, flags=re.M))
+    out = tmp_path / "dup.sol.txt"
+    assert run_cli("solve", dup, "--out", out) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.endswith(f"duplicate box id {ids[0]!r}") and "\n" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--omega", "120"), ("--gamma", "-1"), ("--micro-repeats", "0"),
+    ("--sort-n", "0"), ("--cost-m", "20000"), ("--alpha", "-1"),
+])
+def test_solve_out_of_range_parameter_exits_2(workspace, tmp_path, capsys, flags):
+    inst_path = workspace / "inst" / "gen001_s3.inst.txt"
+    assert run_cli("solve", inst_path, "--out", tmp_path / "x.sol.txt", *flags) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: bad parameter:") and "\n" not in err
+
+
+def test_generate_bad_bounds_exits_2(tmp_path, capsys):
+    rc = run_cli("generate", "--demand", "1,100", "--scheme", "1", "--bounds", "50,10",
+                 "--out", tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad --bounds")

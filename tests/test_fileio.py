@@ -121,3 +121,21 @@ def test_unplaced_boxes_reported(inst_and_ref):
     dropped = lines[-1].split()[3]
     sol, _, _ = parse_solution("\n".join(lines[:-1]) + "\n", inst)
     assert sol.unplaced == [dropped]
+
+
+def test_parse_rejects_duplicate_box_id():
+    text = (
+        "format instance 1\nname x\ntutype t 120 80 130 1000\n"
+        "box b1 10 10 10 1 0 0 1\nbox b1 20 20 20 1 0 0 1\n"
+    )
+    with pytest.raises(FormatError, match="line 5: duplicate box id 'b1'"):
+        parse_instance(text)
+
+
+def test_parse_rejects_duplicate_tutype_id():
+    text = (
+        "format instance 1\nname x\ntutype t 120 80 130 1000\n"
+        "tutype t 120 80 160 1000\nbox b1 10 10 10 1 0 0 1\n"
+    )
+    with pytest.raises(FormatError, match="line 4: duplicate tutype id 't'"):
+        parse_instance(text)

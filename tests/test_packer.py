@@ -20,13 +20,15 @@ from tupack.packer import (
     best_spot,
     can_fit,
     eps_of_layout,
+    fits_empty,
     fresh_tu,
     pack_3dbp,
+    place_box,
     placement_cost,
     sort_boxes,
 )
 
-from conftest import EURO_PALLET, WORKED_EXAMPLE_EPS
+from conftest import EURO_PALLET, WORKED_EXAMPLE_EPS, ep_list
 
 T_120_80_160 = TuType("120x80x160", 120, 80, 160, 1000)
 
@@ -87,13 +89,13 @@ def test_sort_overweight_box_lands_in_top_cluster():
 # worked example: EP list reconstruction and selection
 
 def test_worked_example_ep_table(worked_example_tu):
-    got = {(e.x, e.y, e.z): (e.rx, e.ry, e.rz) for e in worked_example_tu.eps}
+    got = {(e.x, e.y, e.z): (e.rx, e.ry, e.rz) for e in ep_list(worked_example_tu.eps)}
     assert got == WORKED_EXAMPLE_EPS
 
 
 def test_worked_example_no_fit_at_narrow_ep(worked_example_tu):
     tu = worked_example_tu
-    ep9 = next(e for e in tu.eps if (e.x, e.y, e.z) == (110, 40, 0))
+    ep9 = next(e for e in ep_list(tu.eps) if (e.x, e.y, e.z) == (110, 40, 0))
     box = free_box("n", 30, 40, 20)
     assert all(not can_fit(tu, ep9, o, box) for o in enumerate_orientations(box))
 
@@ -102,7 +104,7 @@ def test_worked_example_argmin_selection(worked_example_tu):
     tu = worked_example_tu
     box = free_box("n", 30, 40, 20)
     cost, ep_idx, ob = best_spot(tu, box)
-    ep = tu.eps[ep_idx]
+    ep = ep_list(tu.eps)[ep_idx]
     assert (ep.x, ep.y, ep.z) == (0, 60, 0)
     assert (ob.w, ob.l, ob.h) == (40, 20, 30)
 
@@ -110,9 +112,9 @@ def test_worked_example_argmin_selection(worked_example_tu):
 def test_worked_example_floor_ep_beats_raised_eps(worked_example_tu):
     tu = worked_example_tu
     box = free_box("n", 30, 40, 20)
-    ep3 = next(e for e in tu.eps if (e.x, e.y, e.z) == (0, 60, 0))
+    ep3 = next(e for e in ep_list(tu.eps) if (e.x, e.y, e.z) == (0, 60, 0))
     best_at = {}
-    for e in tu.eps:
+    for e in ep_list(tu.eps):
         feasible = [
             placement_cost(e, o, tu.nbox)
             for o in enumerate_orientations(box)
@@ -144,13 +146,13 @@ def _fit_check_tu():
 
 def test_fit_check_residuals_at_top_of_first_box():
     tu = _fit_check_tu()
-    ep = next(e for e in tu.eps if (e.x, e.y, e.z) == (0, 0, 30))
+    ep = next(e for e in ep_list(tu.eps) if (e.x, e.y, e.z) == (0, 0, 30))
     assert (ep.rx, ep.ry, ep.rz) == (120, 80, 70)
 
 
 def test_fit_check_residual_pass_overlap_reject():
     tu = _fit_check_tu()
-    ep = next(e for e in tu.eps if (e.x, e.y, e.z) == (0, 0, 30))
+    ep = next(e for e in ep_list(tu.eps) if (e.x, e.y, e.z) == (0, 0, 30))
     b3 = free_box("b3", 60, 60, 20)
     o = next(x for x in enumerate_orientations(b3) if (x.w, x.l, x.h) == (60, 60, 20))
     assert o.w <= ep.rx and o.l <= ep.ry and o.h <= ep.rz
@@ -159,7 +161,7 @@ def test_fit_check_residual_pass_overlap_reject():
 
 def test_can_fit_walkthrough_insertion(worked_example_tu):
     tu = worked_example_tu
-    ep3 = next(e for e in tu.eps if (e.x, e.y, e.z) == (0, 60, 0))
+    ep3 = next(e for e in ep_list(tu.eps) if (e.x, e.y, e.z) == (0, 60, 0))
     box = free_box("n", 30, 40, 20)
     o = next(x for x in enumerate_orientations(box) if (x.w, x.l, x.h) == (40, 20, 30))
     assert can_fit(tu, ep3, o, box)
@@ -174,7 +176,7 @@ def test_can_fit_rejects_stacking_intrusion():
     place_box(tu, base, o, tu.eps[0])
     # EPs above the non-stackable box are never generated, so aim at a side
     # EP and try a box wide enough to overhang the protected column
-    side = next(e for e in tu.eps if (e.x, e.y, e.z) == (40, 0, 0))
+    side = next(e for e in ep_list(tu.eps) if (e.x, e.y, e.z) == (40, 0, 0))
     tall = free_box("tall", 60, 30, 40)
     for ob in enumerate_orientations(tall):
         if ob.w > 20:
@@ -195,7 +197,7 @@ def test_first_stackable_box_spawns_three_eps():
 
     ob = enumerate_orientations(box)[0]
     place_box(tu, box, ob, tu.eps[0])
-    assert {(e.x, e.y, e.z) for e in tu.eps} == {(40, 0, 0), (0, 30, 0), (0, 0, 20)}
+    assert {(e.x, e.y, e.z) for e in ep_list(tu.eps)} == {(40, 0, 0), (0, 30, 0), (0, 0, 20)}
 
 
 def test_first_non_stackable_box_spawns_two_eps():
@@ -205,7 +207,7 @@ def test_first_non_stackable_box_spawns_two_eps():
 
     ob = enumerate_orientations(box)[0]
     place_box(tu, box, ob, tu.eps[0])
-    assert {(e.x, e.y, e.z) for e in tu.eps} == {(40, 0, 0), (0, 30, 0)}
+    assert {(e.x, e.y, e.z) for e in ep_list(tu.eps)} == {(40, 0, 0), (0, 30, 0)}
 
 
 def test_ep_projection_onto_neighbor_faces():
@@ -216,11 +218,11 @@ def test_ep_projection_onto_neighbor_faces():
 
     a = free_box("a", 60, 40, 20)
     place_box(tu, a, enumerate_orientations(a)[0], tu.eps[0])
-    ep_top = next(e for e in tu.eps if (e.x, e.y, e.z) == (0, 0, 20))
+    ep_top = next(e for e in ep_list(tu.eps) if (e.x, e.y, e.z) == (0, 0, 20))
     b = free_box("b", 30, 30, 30)
     ob = next(o for o in enumerate_orientations(b) if (o.w, o.l, o.h) == (30, 30, 30))
     place_box(tu, b, ob, ep_top)
-    pts = {(e.x, e.y, e.z) for e in tu.eps}
+    pts = {(e.x, e.y, e.z) for e in ep_list(tu.eps)}
     # rule 1 corner (30,0,20) sits on a's top face, not the floor
     assert (30, 0, 20) in pts
     # rule 2 corner (0,30,20) likewise
@@ -235,7 +237,7 @@ def test_interior_box_contributes_five_eps():
     tu = LoadedTu(T_120_80_160)
     box = free_box("mid", 40, 30, 30)
     tu.add(Placement(box, "wlh", 40, 30, 30, 40, 40, 0))
-    pts = {(e.x, e.y, e.z) for e in eps_of_layout(tu)}
+    pts = {(e.x, e.y, e.z) for e in ep_list(eps_of_layout(tu))}
     expected = {(80, 0, 0), (0, 70, 0), (40, 40, 30), (40, 0, 30), (0, 40, 30)}
     assert expected <= pts
     assert pts == expected | {(0, 0, 0)}
@@ -260,7 +262,7 @@ def test_ep_residual_soundness():
     ]
     res = pack_3dbp(T_120_80_160, boxes)
     for tu in res.tus:
-        for e in tu.eps:
+        for e in ep_list(tu.eps):
             assert e.rx <= tu.tu_type.x - e.x
             assert e.ry <= tu.tu_type.y - e.y
             assert e.rz <= tu.tu_type.z - e.z
@@ -393,3 +395,184 @@ def test_pack_prefers_fuller_tu_on_cost_ties():
     place_box(a, bx2, enumerate_orientations(bx2)[0], a.eps[0])
     res = pack_3dbp(T_120_80_160, [BoxSpec("z", 40, 40, 40)], open_tus=[b, a])
     assert a.nbox == 3 and b.nbox == 1
+
+
+# ---------------------------------------------------------------------------
+# kernel oracles on random packs with rotation flags, non-stackable boxes,
+# weights that hit the capacity, and repeated box shapes
+
+def _random_boxes(rng, n):
+    """Boxes drawn half from a small pool of shapes (so shapes repeat under
+    other ids and weights) and half fresh."""
+    def shape():
+        return (rng.randint(8, 60), rng.randint(8, 60), rng.randint(8, 60),
+                rng.random() < 0.5, rng.random() < 0.5, rng.random() < 0.75)
+    pool = [shape() for _ in range(rng.randint(2, 6))]
+    # same extents, other rotation flags and stackability
+    w, l, h, txz, tyz, stackable = pool[0]
+    pool += [(w, l, h, not txz, tyz, stackable), (w, l, h, txz, tyz, not stackable)]
+    boxes = []
+    for i in range(n):
+        w, l, h, txz, tyz, stackable = rng.choice(pool) if rng.random() < 0.5 else shape()
+        boxes.append(BoxSpec(f"b{i}", w, l, h, rng.randint(0, 150), txz, tyz, stackable))
+    return boxes
+
+
+def _ref_ray(tu, pt, axis):
+    """Coordinate reached from ``pt`` going toward the origin on ``axis``."""
+    reach = 0
+    for p in tu.placements:
+        lo, hi = (p.x, p.y, p.z), (p.x + p.w, p.y + p.l, p.z + p.h)
+        if hi[axis] <= pt[axis] and all(lo[a] <= pt[a] < hi[a] for a in range(3) if a != axis):
+            reach = max(reach, hi[axis])
+    return reach
+
+
+def _ref_candidates(tu, p):
+    """The five projection rules of one placed box, by scalar rays."""
+    ex, ny, tz = p.x + p.w, p.y + p.l, p.z + p.h
+    z1 = _ref_ray(tu, (ex, p.y, p.z), 2)
+    z2 = _ref_ray(tu, (p.x, ny, p.z), 2)
+    pts = [(ex, _ref_ray(tu, (ex, p.y, z1), 1), z1), (_ref_ray(tu, (p.x, ny, z2), 0), ny, z2)]
+    if p.box.stackable:
+        top = (p.x, p.y, tz)
+        pts += [top, (p.x, _ref_ray(tu, top, 1), tz), (_ref_ray(tu, top, 0), p.y, tz)]
+    return pts
+
+
+def _ref_eps(tu, points):
+    """Full re-measure of candidate points against the whole load: first
+    occurrence of each point inside the TU, not covered by a box, with every
+    residual (distance to the first box face or wall ahead) positive."""
+    tut = tu.tu_type
+    dims = (tut.x, tut.y, tut.z)
+    boxes = [((p.x, p.y, p.z), (p.x + p.w, p.y + p.l, p.z + p.h)) for p in tu.placements]
+    out = []
+    for pt in dict.fromkeys(points):
+        if not all(0 <= c < d for c, d in zip(pt, dims)):
+            continue
+        if any(all(lo[a] <= pt[a] < hi[a] for a in range(3)) for lo, hi in boxes):
+            continue
+        resid = []
+        for a in range(3):
+            reach = dims[a]
+            for lo, hi in boxes:
+                if lo[a] >= pt[a] and all(lo[b] <= pt[b] < hi[b] for b in range(3) if b != a):
+                    reach = min(reach, lo[a])
+            resid.append(reach - pt[a])
+        if min(resid) > 0:
+            out.append(ExtremePoint(*pt, *resid))
+    return out
+
+
+def _pack_without_memo(tut, boxes, open_tus=(), after_place=None):
+    """pack_3dbp's rule spelled out: every box asks best_spot of every open TU."""
+    tus, unplaced = list(open_tus), []
+    for box in sort_boxes(boxes, tut):
+        if not fits_empty(box, tut):
+            unplaced.append(box)
+            continue
+        spots = [(s[0], ti, s[1], s[2]) for ti, tu in enumerate(tus)
+                 if (s := best_spot(tu, box)) is not None]
+        if spots:
+            _, ti, ep_idx, ob = min(spots, key=lambda s: (s[0], s[1]))
+            tu = tus[ti]
+        else:
+            tu = fresh_tu(tut)
+            tus.append(tu)
+            _, ep_idx, ob = best_spot(tu, box)
+        before = [e[:3] for e in ep_list(tu.eps)]
+        p = place_box(tu, box, ob, tu.eps[ep_idx])
+        if after_place is not None:
+            after_place(tu, before, p)
+    return tus, unplaced
+
+
+def _layout(tus):
+    return [[(p.box.id, p.code, p.x, p.y, p.z) for p in tu.placements] for tu in tus]
+
+
+def test_incremental_eps_equal_full_remeasure():
+    checked = 0
+
+    def check(tu, before, p):
+        nonlocal checked
+        assert ep_list(tu.eps) == _ref_eps(tu, before + _ref_candidates(tu, p))
+        checked += 1
+
+    for seed in range(24):
+        rng = random.Random(seed)
+        tus, _ = _pack_without_memo(T_120_80_160, _random_boxes(rng, 24), after_place=check)
+        for tu in tus:
+            if tu.nbox < 2:
+                continue
+            tu.remove_at(rng.randrange(tu.nbox))
+            tu.eps = eps_of_layout(tu)
+            layout_points = [(0, 0, 0)] + [q for p in tu.placements for q in _ref_candidates(tu, p)]
+            assert ep_list(tu.eps) == _ref_eps(tu, layout_points)
+        # incremental updates resumed on re-seeded TUs
+        _pack_without_memo(T_120_80_160, _random_boxes(rng, 8), open_tus=tus, after_place=check)
+    assert checked > 500
+
+
+def test_best_spot_is_exhaustive_lexicographic_minimum():
+    cases = 0
+    for seed in range(12):
+        rng = random.Random(100 + seed)
+        states = []
+        _pack_without_memo(T_120_80_160, _random_boxes(rng, 20),
+                           after_place=lambda tu, before, p: states.append(tu.clone()))
+        for tu in rng.sample(states, 6):
+            for box in _random_boxes(rng, 4):
+                oris = enumerate_orientations(box)
+                feasible = []
+                for i, e in enumerate(ep_list(tu.eps)):
+                    for oi, o in enumerate(oris):
+                        fits = can_fit(tu, e, o, box)
+                        # the fit test against an independent check: residuals
+                        # hold and the placed box breaks no overlap or stacking rule
+                        trial = tu.clone()
+                        trial.add(Placement.of(box, o, e.x, e.y, e.z))
+                        clash = {v.kind for v in validate_tu(trial)} & {"overlap", "stacking"}
+                        room = o.w <= e.rx and o.l <= e.ry and o.h <= e.rz
+                        assert fits == (room and not clash)
+                        if fits:
+                            feasible.append((placement_cost(e, o, tu.nbox), i, oi))
+                heavy = tu.total_weight + box.weight > tu.tu_type.q
+                got = best_spot(tu, box)
+                if heavy or not feasible:
+                    assert got is None
+                else:
+                    cost, i, oi = min(feasible)
+                    assert got == (cost, i, oris[oi])
+                    cases += 1
+    assert cases > 100
+
+
+def test_pack_3dbp_equals_pack_without_memo():
+    for seed in range(30):
+        rng = random.Random(200 + seed)
+        boxes = _random_boxes(rng, 30)
+        got = pack_3dbp(T_120_80_160, boxes)
+        tus, unplaced = _pack_without_memo(T_120_80_160, boxes)
+        assert _layout(got.tus) == _layout(tus)
+        assert got.unplaced == unplaced
+        assert [ep_list(tu.eps) for tu in got.tus] == [ep_list(tu.eps) for tu in tus]
+        # resuming into open TUs keeps the equivalence
+        more = _random_boxes(rng, 10)
+        resumed = pack_3dbp(T_120_80_160, more, open_tus=[tu.clone() for tu in got.tus])
+        tus, _ = _pack_without_memo(T_120_80_160, more, open_tus=[tu.clone() for tu in tus])
+        assert _layout(resumed.tus) == _layout(tus)
+
+
+def test_clone_shares_nothing_mutable():
+    res = pack_3dbp(T_120_80_160, _random_boxes(random.Random(7), 12))
+    tu = res.tus[0]
+    eps, geom, layout = tu.eps, tu.geometry(), _layout([tu])
+    twin = tu.clone()
+    box = BoxSpec("extra", 10, 10, 10)
+    spot = best_spot(twin, box)
+    place_box(twin, box, spot[2], twin.eps[spot[1]])
+    assert tu.eps is eps and not tu.eps.flags.writeable
+    assert tu.geometry() is geom and _layout([tu]) == layout
+    assert twin.nbox == tu.nbox + 1

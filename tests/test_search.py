@@ -166,6 +166,23 @@ def test_top_layer_excludes_covered_boxes():
     assert _top_layer(tu) == [1]
 
 
+def test_top_layer_matches_pairwise_definition():
+    from tupack.geometry import xy_overlap
+    from tupack.packer import pack_3dbp
+    from tupack.search import _top_layer
+
+    rng = random.Random(3)
+    for _ in range(20):
+        boxes = [BoxSpec(f"b{i}", rng.randint(10, 60), rng.randint(10, 60), rng.randint(5, 40))
+                 for i in range(rng.randint(1, 40))]
+        for tu in pack_3dbp(T1, boxes).tus:
+            ps = tu.placements
+            clear = [i for i, p in enumerate(ps)
+                     if not any(j != i and xy_overlap(p, q) and q.top > p.top
+                                for j, q in enumerate(ps))]
+            assert _top_layer(tu) == sorted(clear, key=lambda i: (-ps[i].top, i))
+
+
 # ---------------------------------------------------------------------------
 # N2 swap
 
