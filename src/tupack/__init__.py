@@ -39,7 +39,7 @@ from .packer import (
     placement_cost,
     sort_boxes,
 )
-from .lowerbound import DemandPoint, LowerBound, brute_force_lower_bound, solve_lower_bound
+from .lowerbound import DemandPoint, LowerBound, solve_lower_bound
 from .generator import (
     DEFAULT_CATALOG,
     Instance,
@@ -48,6 +48,7 @@ from .generator import (
     partition_scheme1,
     partition_scheme2,
     partition_scheme3,
+    validate_solution,
 )
 from .search import SearchParams, SolveStats, TypePointer, solve
 
@@ -61,8 +62,8 @@ __all__ = [
     "volumetric_weight", "within_bounds",
     "CostParams", "ExtremePoint", "PackResult", "SortParams", "can_fit",
     "eps_of_layout", "pack_3dbp", "placement_cost", "sort_boxes",
-    "DemandPoint", "LowerBound", "brute_force_lower_bound", "solve_lower_bound",
+    "DemandPoint", "LowerBound", "solve_lower_bound",
     "DEFAULT_CATALOG", "Instance", "PartitionBounds", "generate_instance",
-    "partition_scheme1", "partition_scheme2", "partition_scheme3",
+    "partition_scheme1", "partition_scheme2", "partition_scheme3", "validate_solution",
     "SearchParams", "SolveStats", "TypePointer", "solve",
 ]

@@ -22,8 +22,9 @@ from .generator import (
     DEFAULT_DENSITY,
     PartitionBounds,
     generate_instance,
+    validate_solution,
 )
-from .geometry import ObjectiveParams, validate_tu
+from .geometry import ObjectiveParams
 from .lowerbound import DemandPoint
 from .packer import CostParams, SortParams
 from .reports import (
@@ -141,38 +142,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    import math
-
-    from .geometry import fitness as recompute_fitness
-
     inst = _read_input(read_instance, args.instance)
     sol, inst_name, recorded = read_solution(args.solution, inst)
-    problems: list[str] = []
+    problems = validate_solution(inst, sol, recorded)
     if inst_name != inst.name:
-        problems.append(f"solution names instance {inst_name!r}, file is {inst.name!r}")
-    if sol.tus and not math.isnan(recorded):
-        actual = recompute_fitness(sol, inst.objective)
-        if abs(actual - recorded) > 1e-6 * max(1.0, abs(actual)):
-            problems.append(
-                f"recorded fitness {recorded} does not match recomputation {actual}"
-            )
-    for ti, tu in enumerate(sol.tus):
-        for v in validate_tu(tu):
-            problems.append(f"TU {ti}: {v.kind}: {v.detail} (boxes {', '.join(v.box_ids)})")
-        if not tu.placements:
-            problems.append(f"TU {ti}: empty")
-    placed = sol.box_ids()
-    dupes = {b for b in placed if placed.count(b) > 1}
-    for b in sorted(dupes):
-        problems.append(f"box {b} placed more than once")
-    for b in sol.unplaced:
-        problems.append(f"box {b} not placed")
+        problems.insert(0, f"solution names instance {inst_name!r}, file is {inst.name!r}")
     if problems:
         for p in problems:
             print(p)
         print(f"INVALID: {len(problems)} violation(s)")
         return 1
-    print(f"OK: {len(sol.tus)} TUs, {len(placed)} boxes, partition exact")
+    print(f"OK: {len(sol.tus)} TUs, {len(sol.box_ids())} boxes, partition exact")
     return 0
 
 
@@ -186,8 +166,7 @@ def _batch_one(task):
     sol = solve(inst, objective, cost, sort, search, stats)
     elapsed = time.perf_counter() - t0
     row = run_row(inst, sol, omega, elapsed, stats)
-    violations = sum(len(validate_tu(tu)) for tu in sol.tus)
-    return row, violations
+    return row, len(validate_solution(inst, sol))
 
 
 def cmd_batch(args) -> int:

@@ -33,6 +33,7 @@ from .geometry import (
     Placement,
     Solution,
     TuType,
+    _extents,
     fitness,
 )
 from .lowerbound import LowerBound
@@ -210,9 +211,7 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
         elif tu.tu_type.id != type_id:
             raise FormatError(f"TU {ti} listed with two types")
         box = boxes[box_id]
-        dims = {"w": box.width, "l": box.length, "h": box.height}
-        w, l, h = dims[code[0]], dims[code[1]], dims[code[2]]
-        tu.add(Placement(box, code, w, l, h, x, y, z))
+        tu.add(Placement(box, code, *_extents(box, code), x, y, z))
     placed = {p.box.id for tu in tus.values() for p in tu.placements}
     unplaced = [b.id for b in inst.boxes if b.id not in placed]
     sol = Solution([tus[i] for i in sorted(tus)], unplaced)

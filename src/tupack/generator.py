@@ -15,10 +15,21 @@ uses one fixed perfect partition per catalog type.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .geometry import BoxSpec, LoadedTu, ObjectiveParams, Placement, Solution, TuType
+from .geometry import (
+    BoxSpec,
+    LoadedTu,
+    ObjectiveParams,
+    Placement,
+    Solution,
+    TuType,
+    fitness,
+    validate_tu,
+)
 from .lowerbound import DemandPoint, LowerBound, solve_lower_bound
 
 
@@ -251,18 +262,49 @@ class Instance:
     objective: ObjectiveParams = field(default_factory=ObjectiveParams)
     lower_bound: LowerBound | None = None
 
-    def box_by_id(self, bid: str) -> BoxSpec:
-        for b in self.boxes:
-            if b.id == bid:
-                return b
-        raise KeyError(bid)
-
     def lb_volume_liters(self) -> float | None:
         if self.lower_bound is None:
             return None
         return sum(
             c * t.volume_liters for c, t in zip(self.lower_bound.counts, self.catalog)
         )
+
+
+def validate_solution(
+    inst: Instance, sol: Solution, recorded_fitness: float | None = None
+) -> list[str]:
+    """Every problem of a solution to the instance, one message each; empty
+    when it is valid.
+
+    Checks the recorded fitness against the objective (skipped when it is
+    None or NaN, or when a TU is empty), the feasibility of every TU, empty
+    TUs, and the exact partition: each instance box placed once and no
+    other box placed.
+    """
+    problems: list[str] = []
+    if (recorded_fitness is not None and not math.isnan(recorded_fitness)
+            and sol.tus and all(tu.placements for tu in sol.tus)):
+        actual = fitness(sol, inst.objective)
+        if abs(actual - recorded_fitness) > 1e-6 * max(1.0, abs(actual)):
+            problems.append(
+                f"recorded fitness {recorded_fitness} does not match recomputation {actual}"
+            )
+    for ti, tu in enumerate(sol.tus):
+        for v in validate_tu(tu):
+            problems.append(f"TU {ti}: {v.kind}: {v.detail} (boxes {', '.join(v.box_ids)})")
+        if not tu.placements:
+            problems.append(f"TU {ti}: empty")
+    placed = Counter(sol.box_ids())
+    known = {b.id for b in inst.boxes}
+    for b in sorted(placed):
+        if placed[b] > 1:
+            problems.append(f"box {b} placed more than once")
+        if b not in known:
+            problems.append(f"box {b} is not in the instance")
+    for b in inst.boxes:
+        if b.id not in placed:
+            problems.append(f"box {b.id} not placed")
+    return problems
 
 
 def _box_weight(volume_cm3: int, density: float) -> int:

@@ -394,9 +394,6 @@ class Solution:
     tus: list[LoadedTu] = field(default_factory=list)
     unplaced: list[str] = field(default_factory=list)
 
-    def fitness(self, params: ObjectiveParams = DEFAULT_OBJECTIVE) -> float:
-        return fitness(self, params)
-
     def clone(self) -> "Solution":
         return Solution([tu.clone() for tu in self.tus], list(self.unplaced))
 

@@ -114,35 +114,3 @@ def solve_lower_bound(
     assert best[1] is not None
     return LowerBound(best[1], _objective_liters(best[1], vols, beta))
 
-
-def brute_force_lower_bound(
-    demand: DemandPoint, catalog: list[TuType], beta: float = 100.0, max_total: int = 25
-) -> LowerBound:
-    """Independent oracle: exhaustive enumeration of count vectors.
-
-    Checks every vector with at most ``max_total`` TUs and returns the
-    feasible one of minimum objective, ties to the lexicographically
-    smallest. Only valid when the true optimum uses at most ``max_total``.
-    """
-    n = len(catalog)
-    vols, caps, need_v, need_w = _scaled(demand, catalog)
-    unit_cost = [v + beta * 1000.0 for v in vols]
-    best: tuple[float, tuple[int, ...]] | None = None
-    counts = [0] * n
-
-    def rec(i: int, left: int, vol: int, wgt: int, cost: float):
-        nonlocal best
-        if i == n:
-            if vol >= need_v and wgt >= need_w:
-                key = (cost, tuple(counts))
-                if best is None or key < best:
-                    best = key
-            return
-        for c in range(left + 1):
-            counts[i] = c
-            rec(i + 1, left - c, vol + c * vols[i], wgt + c * caps[i], cost + c * unit_cost[i])
-        counts[i] = 0
-
-    rec(0, max_total, 0, 0, 0.0)
-    assert best is not None, "demand not coverable within max_total TUs"
-    return LowerBound(best[1], _objective_liters(best[1], vols, beta))

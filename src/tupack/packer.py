@@ -153,35 +153,27 @@ def _ray(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, axis: int) -> np.ndarr
 _OTHER_1, _OTHER_2 = np.array([1, 0, 0]), np.array([2, 2, 1])
 
 
-def _measure(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, dims: np.ndarray):
-    """Per point, whether a box covers it, and its (N, 3) residuals: the
-    distance to the nearest box face or TU wall ahead on each axis ray."""
+def _live(lo, hi, pts: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """The EP array of candidate points measured against the whole load.
+
+    Keeps the first occurrence of each point inside the TU (coordinates are
+    never negative), in order, and of those the points that no box covers
+    and that have room on every axis. A residual is the distance to the
+    nearest box face or TU wall ahead on that axis ray.
+    """
+    pts = pts[(pts < dims).all(axis=1)]
+    _, first = np.unique(pts @ (dims[1] * dims[2], dims[2], 1), return_index=True)
+    pts = pts[np.sort(first)]
     p = pts.T[:, :, None]
     inside = (lo[:, None] <= p) & (p < hi[:, None])
     # a box blocks the ray on an axis when it starts at or beyond the point
     # there and its spans on the two other axes cover the point
     others = inside[_OTHER_1] & inside[_OTHER_2]
     covered = (inside[0] & others[0]).any(axis=1)
-    resid = np.where((lo[:, None] >= p) & others, lo[:, None], dims[:, None, None]).min(axis=2)
-    return covered, resid.T - pts
-
-
-def _live(lo, hi, pts: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """EP rows of the points that no box covers and that have room on every axis."""
-    covered, resid = _measure(lo, hi, pts, dims)
+    reach = np.where((lo[:, None] >= p) & others, lo[:, None], dims[:, None, None]).min(axis=2)
+    resid = reach.T - pts
     keep = ~covered & (resid > 0).all(axis=1)
     return np.concatenate((pts[keep], resid[keep]), axis=1)
-
-
-def _new_points(pts: np.ndarray, dims: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Points inside the TU (coordinates are never negative) that are not
-    among the ``known`` (K, 3) distinct points, first occurrence of each, in
-    order."""
-    pts = pts[(pts < dims).all(axis=1)]
-    key = (dims[1] * dims[2], dims[2], 1)
-    _, first = np.unique(np.concatenate((known @ key, pts @ key)), return_index=True)
-    first = np.sort(first[first >= len(known)]) - len(known)
-    return pts[first]
 
 
 def _candidate_points(lo, hi, stackable: np.ndarray, blo, bhi) -> np.ndarray:
@@ -213,44 +205,31 @@ def _dims(tut: TuType) -> np.ndarray:
 
 
 def update_eps(tu: LoadedTu, placed: Placement):
-    """Refresh the EP array after an insertion.
+    """Refresh the EP array after an insertion: the old EP points, then the
+    new box's projection points, re-measured against the whole load.
 
-    Loads only grow between rebuilds, so each old EP is checked against the
-    new box alone: it dies if the box covers it, and each residual becomes
-    the smaller of the old one and the distance to the box (the residual-space
-    update of Crainic, Perboli & Tadei). The new box's projection points that
-    are not already EPs are measured against the whole load and appended.
+    Loads only grow between re-seeds, so an old EP's new residual is the
+    smaller of its old one and the distance to the new box, and it dies when
+    the new box covers it; measuring against the whole load gives exactly
+    that (the residual-space update of Crainic, Perboli & Tadei).
     """
-    dims = _dims(tu.tu_type)
+    lo, hi, _ = tu.geometry()
     box = np.array([[placed.x, placed.y, placed.z, placed.w, placed.l, placed.h]]).T
     blo, bhi = box[:3], box[:3] + box[3:]
-    old = tu.eps
-    covered, resid = _measure(blo, bhi, old[:, :3], dims)
-    resid = np.minimum(old[:, 3:], resid)
-    keep = ~covered & (resid > 0).all(axis=1)
-    lo, hi, _ = tu.geometry()
     cand = _candidate_points(lo, hi, np.array([placed.box.stackable]), blo, bhi)
-    cand = _new_points(cand, dims, old[:, :3])
-    tu.eps = _frozen(np.concatenate((
-        np.concatenate((old[keep, :3], resid[keep]), axis=1), _live(lo, hi, cand, dims))))
+    tu.eps = _frozen(_live(lo, hi, np.concatenate((tu.eps[:, :3], cand)), _dims(tu.tu_type)))
 
 
 def eps_of_layout(tu: LoadedTu) -> np.ndarray:
-    """The EP array derived from a layout alone, with no construction history.
-
-    Used to re-seed a TU after a local-search removal: the origin plus every
-    box's projection points, deduplicated in that order and measured exactly
-    like the incremental update. An empty TU yields the single origin EP.
-    """
+    """The EP array derived from a layout alone, with no construction history:
+    the origin, then every box's projection points, measured like
+    ``update_eps``. An empty TU yields the single origin EP."""
     if not tu.placements:
         return _origin_eps(tu.tu_type)
-    dims = _dims(tu.tu_type)
     lo, hi, nonstack = tu.geometry()
-    pts = np.concatenate((
-        np.zeros((1, 3), dtype=np.int64),
-        _candidate_points(lo, hi, ~nonstack, lo, hi),
-    ))
-    return _frozen(_live(lo, hi, _new_points(pts, dims, pts[:0]), dims))
+    origin = np.zeros((1, 3), dtype=np.int64)
+    pts = np.concatenate((origin, _candidate_points(lo, hi, ~nonstack, lo, hi)))
+    return _frozen(_live(lo, hi, pts, _dims(tu.tu_type)))
 
 
 def _origin_eps(tut: TuType) -> np.ndarray:
@@ -390,6 +369,14 @@ def place_box(tu: LoadedTu, box: BoxSpec, ob: Orientation, ep) -> Placement:
     p = Placement.of(box, ob, int(ep[0]), int(ep[1]), int(ep[2]))
     tu.add(p)
     update_eps(tu, p)
+    return p
+
+
+def remove_box(tu: LoadedTu, index: int) -> Placement:
+    """Take out the placement at ``index`` and re-seed the TU's EP array
+    from the remaining layout; the twin of ``place_box``."""
+    p = tu.remove_at(index)
+    tu.eps = eps_of_layout(tu)
     return p
 
 

@@ -35,10 +35,10 @@ from .packer import (
     CostParams,
     SortParams,
     best_spot,
-    eps_of_layout,
     fits_empty,
     pack_3dbp,
     place_box,
+    remove_box,
 )
 
 
@@ -61,9 +61,6 @@ class SearchParams:
             raise ValueError("omega is a percentage")
         if self.gamma < 0 or self.micro_repeats < 1:
             raise ValueError("gamma >= 0 and micro_repeats >= 1 required")
-
-
-DEFAULT_SEARCH = SearchParams()
 
 
 class TypePointer:
@@ -154,8 +151,7 @@ def _relocate(
     """Move one top-layer box between TUs; None when it cannot land."""
     cand = sol.clone()
     src, dst = cand.tus[origin], cand.tus[dest]
-    moved = src.remove_at(pick)
-    src.eps = eps_of_layout(src)
+    moved = remove_box(src, pick)
     spot = best_spot(dst, moved.box, cost)
     if spot is None:
         return None
@@ -173,10 +169,8 @@ def try_swap(
     """Exchange two boxes between TUs at their cheapest positions, if feasible."""
     cand = sol.clone()
     a, b = cand.tus[tu_a], cand.tus[tu_b]
-    box_a = a.remove_at(pick_a)
-    box_b = b.remove_at(pick_b)
-    a.eps = eps_of_layout(a)
-    b.eps = eps_of_layout(b)
+    box_a = remove_box(a, pick_a)
+    box_b = remove_box(b, pick_b)
     spot = best_spot(b, box_a.box, cost)
     if spot is None:
         return None

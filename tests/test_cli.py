@@ -113,6 +113,22 @@ def test_batch_reports(workspace):
     assert ls[0].startswith("omega,n_improvements_ls1")
 
 
+def test_batch_fails_on_a_broken_partition(workspace, monkeypatch, capsys):
+    import tupack.cli
+    from tupack.search import solve
+
+    def solve_dropping_a_box(*args):
+        sol = solve(*args)
+        sol.tus[0].remove_at(0)
+        return sol
+
+    monkeypatch.setattr(tupack.cli, "solve", solve_dropping_a_box)
+    rc = run_cli("batch", "--instances", workspace / "inst", "--out", workspace / "r",
+                 "--omegas", "95", "--seed", "1")
+    assert rc == 1
+    assert "1 violations" in capsys.readouterr().err
+
+
 def test_validate_catches_fitness_tampering(workspace):
     inst_path = workspace / "inst" / "gen001_s3.inst.txt"
     ref_path = workspace / "inst" / "gen001_s3.ref.txt"

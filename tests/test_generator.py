@@ -15,9 +15,58 @@ from tupack.generator import (
     partition_scheme1,
     partition_scheme2,
     partition_scheme3,
+    validate_solution,
 )
-from tupack.geometry import center_of_gravity, fill_rate, validate_tu
-from tupack.lowerbound import DemandPoint, brute_force_lower_bound, solve_lower_bound
+from tupack.geometry import (
+    BoxSpec,
+    LoadedTu,
+    Placement,
+    TuType,
+    center_of_gravity,
+    fill_rate,
+    fitness,
+    validate_tu,
+)
+from tupack.lowerbound import (
+    DemandPoint,
+    LowerBound,
+    _objective_liters,
+    _scaled,
+    solve_lower_bound,
+)
+
+
+def brute_force_lower_bound(
+    demand: DemandPoint, catalog: list[TuType], beta: float = 100.0, max_total: int = 25
+) -> LowerBound:
+    """Independent oracle: exhaustive enumeration of count vectors.
+
+    Checks every vector with at most ``max_total`` TUs and returns the
+    feasible one of minimum objective, ties to the lexicographically
+    smallest. Only valid when the true optimum uses at most ``max_total``.
+    """
+    n = len(catalog)
+    vols, caps, need_v, need_w = _scaled(demand, catalog)
+    unit_cost = [v + beta * 1000.0 for v in vols]
+    best: tuple[float, tuple[int, ...]] | None = None
+    counts = [0] * n
+
+    def rec(i: int, left: int, vol: int, wgt: int, cost: float):
+        nonlocal best
+        if i == n:
+            if vol >= need_v and wgt >= need_w:
+                key = (cost, tuple(counts))
+                if best is None or key < best:
+                    best = key
+            return
+        for c in range(left + 1):
+            counts[i] = c
+            rec(i + 1, left - c, vol + c * vols[i], wgt + c * caps[i], cost + c * unit_cost[i])
+        counts[i] = 0
+
+    rec(0, max_total, 0, 0, 0.0)
+    assert best is not None, "demand not coverable within max_total TUs"
+    return LowerBound(best[1], _objective_liters(best[1], vols, beta))
 
 
 def assert_exact_tiling(tut, carved):
@@ -196,6 +245,31 @@ def test_generate_reference_is_feasible_optimum():
         for tu in ref.tus:
             counts[[t.id for t in inst.catalog].index(tu.tu_type.id)] += 1
         assert tuple(counts) == inst.lower_bound.counts
+
+
+def test_validate_solution_names_each_problem():
+    inst, ref = generate_instance(DemandPoint(2.5, 900), scheme=2, name="v", seed=7)
+    recorded = fitness(ref, inst.objective)
+    assert validate_solution(inst, ref) == []
+    assert validate_solution(inst, ref, recorded) == []
+    assert validate_solution(inst, ref, float("nan")) == []
+    assert "does not match recomputation" in validate_solution(inst, ref, recorded + 1)[0]
+
+    bad = ref.clone()
+    missing = bad.tus[0].remove_at(0).box.id
+    twice = bad.tus[1].placements[0]
+    stranger = BoxSpec("zz", 10, 10, 10)
+    bad.tus[0].add(Placement(twice.box, "wlh", twice.w, twice.l, twice.h, 0, 0, 200))
+    bad.tus[0].add(Placement(stranger, "wlh", 10, 10, 10, 0, 0, 0))
+    bad.tus.append(LoadedTu(inst.catalog[0]))
+    problems = validate_solution(inst, bad, recorded)
+    assert f"box {missing} not placed" in problems
+    assert f"box {twice.box.id} placed more than once" in problems
+    assert "box zz is not in the instance" in problems
+    assert f"TU {len(bad.tus) - 1}: empty" in problems
+    assert any(p.startswith("TU 0: bounds:") for p in problems)
+    # the recorded fitness is not checked while a TU is empty
+    assert not any("recomputation" in p for p in problems)
 
 
 def test_generate_scheme3_reference_cg_is_perfect():

@@ -25,6 +25,7 @@ from tupack.packer import (
     pack_3dbp,
     place_box,
     placement_cost,
+    remove_box,
     sort_boxes,
 )
 
@@ -513,6 +514,21 @@ def test_incremental_eps_equal_full_remeasure():
         # incremental updates resumed on re-seeded TUs
         _pack_without_memo(T_120_80_160, _random_boxes(rng, 8), open_tus=tus, after_place=check)
     assert checked > 500
+
+
+def test_remove_box_reseeds_from_the_layout():
+    for seed in range(6):
+        rng = random.Random(300 + seed)
+        tus, _ = _pack_without_memo(T_120_80_160, _random_boxes(rng, 20))
+        for tu in tus:
+            while tu.placements:
+                index = rng.randrange(tu.nbox)
+                placed = tu.placements[index]
+                assert remove_box(tu, index) is placed
+                assert placed not in tu.placements
+                points = [(0, 0, 0)] + [q for p in tu.placements for q in _ref_candidates(tu, p)]
+                assert ep_list(tu.eps) == _ref_eps(tu, points)
+                assert not tu.eps.flags.writeable
 
 
 def test_best_spot_is_exhaustive_lexicographic_minimum():

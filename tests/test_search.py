@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tupack.generator import DEFAULT_CATALOG, Instance, generate_instance
+from tupack.fileio import dump_solution
+from tupack.generator import DEFAULT_CATALOG, Instance, generate_instance, validate_solution
 from tupack.geometry import (
     BoxSpec,
     LoadedTu,
@@ -413,3 +415,30 @@ def test_solve_omega95_beats_omega75_on_big_type_instance():
     hi = solve(inst, search=SearchParams(seed=1, omega=95))
     assert len(hi.tus) < len(lo.tus)
     assert fitness(hi, OBJ) < fitness(lo, OBJ)
+
+
+# ---------------------------------------------------------------------------
+# solve on random instances with rotation flags and non-stackable boxes, which
+# the generator never emits: the search removes, swaps and re-packs them
+
+_flagged_box = st.tuples(
+    st.integers(10, 90), st.integers(10, 90), st.integers(10, 90), st.integers(0, 400),
+    st.booleans(), st.booleans(), st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(_flagged_box, min_size=6, max_size=40), seed=st.integers(0, 9),
+       omega=st.sampled_from([80.0, 95.0]))
+def test_solve_on_flagged_boxes_is_valid_monotone_and_deterministic(rows, seed, omega):
+    boxes = [BoxSpec(f"b{i}", *row) for i, row in enumerate(rows)]
+    inst = Instance("flagged", boxes, [T1, T6])
+    params = SearchParams(omega=omega, seed=seed)
+    stats = SolveStats()
+    sol = solve(inst, search=params, stats=stats)
+    assert validate_solution(inst, sol) == []
+    values = [ev.fitness for ev in stats.trace]
+    assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+    again = solve(inst, search=params)
+    text = dump_solution(sol, inst.name, inst.objective)
+    assert dump_solution(again, inst.name, inst.objective) == text
