@@ -170,6 +170,8 @@ def _batch_one(task):
 
 
 def cmd_batch(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"bad --jobs {args.jobs}: expected at least 1 worker")
     instances = sorted(Path(args.instances).glob("*.inst.txt"))
     if not instances:
         print(f"no *.inst.txt under {args.instances}", file=sys.stderr)

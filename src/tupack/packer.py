@@ -396,6 +396,7 @@ def pack_3dbp(
     cp: CostParams = DEFAULT_COST,
     sp: SortParams = DEFAULT_SORT,
     open_tus: list[LoadedTu] | None = None,
+    max_tus: int | None = None,
 ) -> PackResult:
     """Sorted constructive insertion into TUs of a single type.
 
@@ -406,6 +407,10 @@ def pack_3dbp(
     ``open_tus`` lets a caller resume packing into existing TUs; they are
     mutated in place. Deterministic: no randomness anywhere in this path.
 
+    ``max_tus`` caps the TUs this call opens: the pack stops at the first box
+    that would need one more, and reports that box and every later one (in
+    insertion order) unplaced. Up to that box it is the uncapped pack.
+
     A TU's ``best_spot`` answer depends on the box only through its shape
     (extents, rotation flags, stackability), so it is kept per TU and shape
     and reused until a box is placed in that TU. The weight check stays per
@@ -414,7 +419,9 @@ def pack_3dbp(
     tus: list[LoadedTu] = list(open_tus) if open_tus else []
     spots: list[dict] = [{} for _ in tus]
     unplaced: list[BoxSpec] = []
-    for box in sort_boxes(boxes, tut, sp):
+    limit = len(tus) + max_tus if max_tus is not None else None
+    order = sort_boxes(boxes, tut, sp)
+    for i, box in enumerate(order):
         if not fits_empty(box, tut):
             unplaced.append(box)
             continue
@@ -433,6 +440,9 @@ def pack_3dbp(
             if best is None or cost < best[0]:
                 best = (cost, ti, ep_idx, ob)
         if best is None:
+            if len(tus) == limit:
+                unplaced.extend(order[i:])
+                break
             tu = fresh_tu(tut)
             tus.append(tu)
             spots.append({})

@@ -15,6 +15,7 @@ reproducible from (instance, parameters, seed).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ from .geometry import (
     Solution,
     fill_rate,
     fitness,
+    tu_objective_term,
 )
 from .packer import (
     DEFAULT_COST,
@@ -276,18 +278,53 @@ def move_n2(
     return None
 
 
+# Relative slack on the incumbent in the rebuild budget, so that float
+# rounding in the bound can never cut a rebuild the exact comparison accepts.
+_BUDGET_MARGIN = 1e-9
+
+
+def _destroy(
+    sol: Solution, victims: list[int], objective: ObjectiveParams, incumbent_fitness: float
+) -> tuple[list[LoadedTu], list[BoxSpec], float]:
+    """Split a solution at the victim TUs: the surviving TUs, the released
+    boxes, and the budget of the rebuild, which is what its new TUs may cost
+    in total for the candidate to still beat the incumbent."""
+    vset = set(victims)
+    survivors = [tu for i, tu in enumerate(sol.tus) if i not in vset]
+    released = [p.box for i in victims for p in sol.tus[i].placements]
+    kept = sum(tu_objective_term(tu, objective) + objective.beta for tu in survivors)
+    budget = incumbent_fitness + abs(incumbent_fitness) * _BUDGET_MARGIN - kept
+    return survivors, released, budget
+
+
 def _rebuild(
     survivors: list[LoadedTu],
     released: list[BoxSpec],
     tut,
     cost: CostParams,
     sort: SortParams,
+    objective: ObjectiveParams,
+    budget: float,
 ) -> Solution | None:
     """Survivors plus a fresh pack of the released boxes; None when some
-    released box cannot fit the rebuild type."""
+    released box cannot fit the rebuild type, or when the new TUs cannot stay
+    within ``budget``.
+
+    Each new TU costs at least its volume plus alpha*theta (the centering
+    product is never negative) plus beta, so at most ``cap`` of them fit the
+    budget. A rebuild that needs more can never beat the incumbent: it is
+    refused unpacked when the released boxes' volume or weight already needs
+    more, and otherwise the pack stops at the TU past the cap.
+    """
     if any(not fits_empty(b, tut) for b in released):
         return None
-    result = pack_3dbp(tut, released, cost, sort)
+    per_tu = tut.volume_liters + objective.alpha * objective.theta + objective.beta
+    cap = math.ceil(budget / per_tu) - 1
+    volume = sum(b.volume for b in released)
+    weight = sum(b.weight for b in released)
+    if cap < max(1, -(-volume // tut.volume_cm3), -(-weight // tut.q)):
+        return None
+    result = pack_3dbp(tut, released, cost, sort, max_tus=cap)
     if result.unplaced:
         return None
     return Solution([tu.clone() for tu in survivors] + result.tus)
@@ -310,10 +347,8 @@ def move_n3(
     for _ in range(params.micro_repeats):
         n = rng.randint(2, len(sol.tus))
         victims = sorted(rng.sample(range(len(sol.tus)), n))
-        vset = set(victims)
-        survivors = [tu for i, tu in enumerate(sol.tus) if i not in vset]
-        released = [p.box for i in victims for p in sol.tus[i].placements]
-        cand = _rebuild(survivors, released, pointer.current(), cost, sort)
+        survivors, released, budget = _destroy(sol, victims, objective, incumbent_fitness)
+        cand = _rebuild(survivors, released, pointer.current(), cost, sort, objective, budget)
         if cand is not None and fitness(cand, objective) < incumbent_fitness:
             return cand
     return None
@@ -386,11 +421,9 @@ def ls2(
     ]
     if not victims:
         return sol, False
-    vset = set(victims)
-    survivors = [tu for i, tu in enumerate(sol.tus) if i not in vset]
-    released = [p.box for i in victims for p in sol.tus[i].placements]
+    survivors, released, budget = _destroy(sol, victims, objective, value)
     for idx, tut in pointer.scan():
-        cand = _rebuild(survivors, released, tut, cost, sort)
+        cand = _rebuild(survivors, released, tut, cost, sort, objective, budget)
         if cand is None:
             continue
         new_value = fitness(cand, objective)

@@ -113,6 +113,16 @@ def test_batch_reports(workspace):
     assert ls[0].startswith("omega,n_improvements_ls1")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_batch_without_workers_exits_2(workspace, capsys, jobs):
+    out = workspace / "report"
+    rc = run_cli("batch", "--instances", workspace / "inst", "--out", out, "--jobs", jobs)
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: bad --jobs {jobs}") and "\n" not in err
+    assert not out.exists()
+
+
 def test_batch_fails_on_a_broken_partition(workspace, monkeypatch, capsys):
     import tupack.cli
     from tupack.search import solve

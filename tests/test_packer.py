@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -579,6 +580,39 @@ def test_pack_3dbp_equals_pack_without_memo():
         resumed = pack_3dbp(T_120_80_160, more, open_tus=[tu.clone() for tu in got.tus])
         tus, _ = _pack_without_memo(T_120_80_160, more, open_tus=[tu.clone() for tu in tus])
         assert _layout(resumed.tus) == _layout(tus)
+
+
+def test_pack_3dbp_max_tus_stops_at_the_tu_past_the_cap():
+    """Within the cap the capped pack is the uncapped one; past it, the pack
+    stops at the first box that needs one more TU and reports that box and
+    every later box unplaced, fresh and when resuming into open TUs."""
+    equal = cut = 0
+    for seed in range(20):
+        rng = random.Random(300 + seed)
+        boxes = _random_boxes(rng, 40)
+        more = [replace(b, id="m" + b.id) for b in _random_boxes(rng, 30)]
+        start = pack_3dbp(T_120_80_160, boxes[:15]).tus
+        for todo, open_tus in ((boxes, []), (more, start)):
+            full = pack_3dbp(T_120_80_160, todo, open_tus=[tu.clone() for tu in open_tus])
+            opened = len(full.tus) - len(open_tus)
+            order = sort_boxes(todo, T_120_80_160)
+            for k in range(opened + 2):
+                got = pack_3dbp(T_120_80_160, todo, open_tus=[tu.clone() for tu in open_tus],
+                                max_tus=k)
+                if opened <= k:
+                    assert _layout(got.tus) == _layout(full.tus)
+                    assert got.unplaced == full.unplaced == []
+                    equal += 1
+                    continue
+                assert len(got.tus) - len(open_tus) == k
+                assert got.unplaced
+                placed = sum(tu.nbox for tu in got.tus) - sum(tu.nbox for tu in open_tus)
+                assert got.unplaced == order[placed:]
+                # each TU holds a prefix of what the uncapped pack puts there
+                for mine, theirs in zip(_layout(got.tus), _layout(full.tus)):
+                    assert mine == theirs[:len(mine)]
+                cut += 1
+    assert equal > 40 and cut > 40
 
 
 def test_clone_shares_nothing_mutable():

@@ -18,11 +18,13 @@ from tupack.geometry import (
     validate_tu,
 )
 from tupack.lowerbound import DemandPoint
-from tupack.packer import CostParams, SortParams, eps_of_layout
+from tupack.packer import CostParams, SortParams, eps_of_layout, fits_empty, pack_3dbp
 from tupack.search import (
     SearchParams,
     SolveStats,
     TypePointer,
+    _destroy,
+    _rebuild,
     initialize,
     ls1,
     ls2,
@@ -340,9 +342,9 @@ def test_ls2_scans_each_type_at_most_once():
 
     orig = search_mod.pack_3dbp
 
-    def spy(tut, boxes, cost, sort, open_tus=None):
+    def spy(tut, boxes, cost, sort, open_tus=None, max_tus=None):
         calls.append(tut.id)
-        return orig(tut, boxes, cost, sort, open_tus=open_tus)
+        return orig(tut, boxes, cost, sort, open_tus=open_tus, max_tus=max_tus)
 
     tu = loaded(T6, [("big", 100, 60, 100, 0, 0, 0, 50)])
     ptr = TypePointer(DEFAULT_CATALOG)
@@ -442,3 +444,48 @@ def test_solve_on_flagged_boxes_is_valid_monotone_and_deterministic(rows, seed, 
     again = solve(inst, search=params)
     text = dump_solution(sol, inst.name, inst.objective)
     assert dump_solution(again, inst.name, inst.objective) == text
+
+
+# ---------------------------------------------------------------------------
+# the rebuild cap never changes a decision of the search
+
+_OBJECTIVES = [OBJ, ObjectiveParams(0.0, 0.0, 0.0), ObjectiveParams(1000.0, 100.0, 100.0)]
+
+
+def _rebuild_uncapped(survivors, released, tut):
+    """The rebuild with no cap: every released box packed with the type."""
+    if any(not fits_empty(b, tut) for b in released):
+        return None
+    result = pack_3dbp(tut, released, COST, SORT)
+    return Solution([tu.clone() for tu in survivors] + result.tus)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(_flagged_box, min_size=4, max_size=40), data=st.data())
+def test_capped_rebuild_makes_the_uncapped_decision(rows, data):
+    boxes = [BoxSpec(f"b{i}", *row) for i, row in enumerate(rows)]
+    inst = Instance("rebuild", boxes, list(DEFAULT_CATALOG))
+    sol = initialize(inst, TypePointer(inst.catalog), COST, SORT)
+    victims = sorted(data.draw(st.sets(st.integers(0, len(sol.tus) - 1), min_size=1)))
+    tut = data.draw(st.sampled_from(DEFAULT_CATALOG))
+    vset = set(victims)
+    survivors = [tu for i, tu in enumerate(sol.tus) if i not in vset]
+    released = [p.box for i in victims for p in sol.tus[i].placements]
+    ref = _rebuild_uncapped(survivors, released, tut)
+    for objective in _OBJECTIVES:
+        # the incumbent is the solution itself, or sits just above the
+        # uncapped candidate (where a cap one TU too tight would cut), at it,
+        # or below it by a little or by enough to cut the pack
+        incumbents = [fitness(sol, objective)]
+        if ref is not None:
+            near = fitness(ref, objective)
+            incumbents += [near * (1 + 1e-12), near, near * (1 - 1e-12), near * 0.99, near * 0.8]
+        for incumbent in incumbents:
+            kept, freed, budget = _destroy(sol, victims, objective, incumbent)
+            assert freed == released
+            got = _rebuild(kept, freed, tut, COST, SORT, objective, budget)
+            if ref is not None and fitness(ref, objective) < incumbent:
+                assert got is not None
+            if got is not None:
+                assert (dump_solution(got, inst.name, objective)
+                        == dump_solution(ref, inst.name, objective))
