@@ -94,6 +94,9 @@ def _parse_demand(text: str) -> DemandPoint:
 
 
 def cmd_generate(args) -> int:
+    for flag, value in (("--density", args.density), ("--gen-beta", args.gen_beta)):
+        if not value >= 0:
+            raise InputError(f"bad {flag} {value!r}: expected a non-negative number")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.builtin:
@@ -124,20 +127,28 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
-    inst = _read_input(read_instance, args.instance)
+def _solve(inst, args):
+    """Solve one instance with the parsed solver flags; returns the solution
+    and its report row."""
     objective, cost, sort, search = _params(args, inst)
     stats = SolveStats()
     t0 = time.perf_counter()
+    sol = solve(inst, objective, cost, sort, search, stats)
+    return sol, run_row(inst, sol, args.omega, time.perf_counter() - t0, stats)
+
+
+def cmd_solve(args) -> int:
+    inst = _read_input(read_instance, args.instance)
     try:
-        sol = solve(inst, objective, cost, sort, search, stats)
+        sol, row = _solve(inst, args)
+    except InputError:
+        raise
     except Exception as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - t0
     out = Path(args.out) if args.out else Path(args.instance).with_suffix(".sol.txt")
     write_solution(out, sol, inst)
-    print(format_row(run_row(inst, sol, args.omega, elapsed, stats)))
+    print(format_row(row))
     return 0
 
 
@@ -157,15 +168,9 @@ def cmd_validate(args) -> int:
 
 
 def _batch_one(task):
-    path, omega, seed, args_dict = task
+    path, args = task
     inst = _read_input(read_instance, path)
-    ns = argparse.Namespace(**args_dict, omega=omega, seed=seed)
-    objective, cost, sort, search = _params(ns, inst)
-    stats = SolveStats()
-    t0 = time.perf_counter()
-    sol = solve(inst, objective, cost, sort, search, stats)
-    elapsed = time.perf_counter() - t0
-    row = run_row(inst, sol, omega, elapsed, stats)
+    sol, row = _solve(inst, args)
     return row, len(validate_solution(inst, sol))
 
 
@@ -182,14 +187,9 @@ def cmd_batch(args) -> int:
         raise InputError(f"bad --omegas {args.omegas!r}: expected comma-separated numbers") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    args_dict = {
-        k: getattr(args, k)
-        for k in ("alpha", "beta", "theta", "gamma", "micro_repeats",
-                  "sort_n", "sort_m", "cost_n", "cost_m", "cost_theta", "cost_lambda")
-    }
     # one seed per instance position: seed_i = base seed + i
     tasks = [
-        (str(p), omega, args.seed + i, args_dict)
+        (str(p), argparse.Namespace(**{**vars(args), "omega": omega, "seed": args.seed + i}))
         for omega in omegas
         for i, p in enumerate(instances)
     ]
@@ -200,11 +200,11 @@ def cmd_batch(args) -> int:
             results = list(pool.map(_batch_one, tasks))
     else:
         results = [_batch_one(t) for t in tasks]
-    for (path, omega, _, _), (row, violations) in zip(tasks, results):
+    for (path, _), (row, violations) in zip(tasks, results):
         rows.append(row)
         if violations:
             failures += 1
-            print(f"{path} omega={omega}: {violations} violations", file=sys.stderr)
+            print(f"{path} omega={row.omega}: {violations} violations", file=sys.stderr)
     write_rows_csv(out / "per_instance.csv", rows)
     summaries, ls_summaries = [], []
     for omega in omegas:

@@ -81,6 +81,14 @@ def _records(text: str):
         yield ln, line.split()
 
 
+def _tutype(ln: int, toks: list[str], seen: set[str]) -> TuType:
+    """One ``tutype ID X Y Z Q`` record; ``seen`` holds the ids read so far."""
+    if toks[1] in seen:
+        raise FormatError(f"line {ln}: duplicate tutype id {toks[1]!r}")
+    seen.add(toks[1])
+    return TuType(toks[1], int(toks[2]), int(toks[3]), int(toks[4]), int(toks[5]))
+
+
 def parse_instance(text: str) -> Instance:
     name = "unnamed"
     alpha, beta, theta = 1.0, 100.0, 100.0
@@ -106,14 +114,13 @@ def parse_instance(text: str) -> Instance:
             elif tag == "theta":
                 theta = float(toks[1])
             elif tag == "tutype":
-                if toks[1] in type_ids:
-                    raise FormatError(f"line {ln}: duplicate tutype id {toks[1]!r}")
-                type_ids.add(toks[1])
-                catalog.append(
-                    TuType(toks[1], int(toks[2]), int(toks[3]), int(toks[4]), int(toks[5]))
-                )
+                catalog.append(_tutype(ln, toks, type_ids))
             elif tag == "lb":
+                if toks[1] in lb_counts:
+                    raise FormatError(f"line {ln}: duplicate lb record for type {toks[1]!r}")
                 lb_counts[toks[1]] = int(toks[2])
+                if lb_counts[toks[1]] < 0:
+                    raise FormatError(f"line {ln}: negative lb count {toks[2]}")
             elif tag == "box":
                 if toks[1] in box_ids:
                     raise FormatError(f"line {ln}: duplicate box id {toks[1]!r}")
@@ -135,6 +142,10 @@ def parse_instance(text: str) -> Instance:
         raise FormatError("missing 'format instance' header")
     if not catalog:
         raise FormatError("instance has no TU types")
+    try:
+        params = ObjectiveParams(alpha, theta, beta)
+    except ValueError as exc:
+        raise FormatError(f"alpha {alpha!r}, beta {beta!r}, theta {theta!r}: {exc}") from exc
     lower = None
     if lb_counts:
         unknown = set(lb_counts) - {t.id for t in catalog}
@@ -146,7 +157,7 @@ def parse_instance(text: str) -> Instance:
             + beta * sum(counts)
         )
         lower = LowerBound(counts, objective)
-    return Instance(name, boxes, catalog, ObjectiveParams(alpha, theta, beta), lower)
+    return Instance(name, boxes, catalog, params, lower)
 
 
 def dump_solution(sol: Solution, instance_name: str, objective: ObjectiveParams) -> str:
@@ -221,13 +232,14 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
 def parse_catalog(text: str) -> list[TuType]:
     """Read a TU-type catalog: one ``tutype ID X Y Z Q`` record per line."""
     catalog: list[TuType] = []
+    type_ids: set[str] = set()
     for ln, toks in _records(text):
         if toks[0] != "tutype":
             raise FormatError(f"line {ln}: catalog files hold only tutype records")
         try:
-            catalog.append(
-                TuType(toks[1], int(toks[2]), int(toks[3]), int(toks[4]), int(toks[5]))
-            )
+            catalog.append(_tutype(ln, toks, type_ids))
+        except FormatError:
+            raise
         except (IndexError, ValueError) as exc:
             raise FormatError(f"line {ln}: {exc}") from exc
     if not catalog:

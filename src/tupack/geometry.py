@@ -372,7 +372,8 @@ class ObjectiveParams:
     beta: float = 100.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.theta < 0 or self.beta < 0:
+        # written so that NaN fails too
+        if not (self.alpha >= 0 and self.theta >= 0 and self.beta >= 0):
             raise ValueError("objective parameters must be non-negative")
 
 

@@ -372,6 +372,16 @@ def place_box(tu: LoadedTu, box: BoxSpec, ob: Orientation, ep) -> Placement:
     return p
 
 
+def place_best(tu: LoadedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST) -> Placement | None:
+    """Place the box at its ``best_spot`` in the TU; None, with the TU
+    untouched, when it fits nowhere. The twin of ``remove_box``."""
+    spot = best_spot(tu, box, cp)
+    if spot is None:
+        return None
+    _, ep_idx, ob = spot
+    return place_box(tu, box, ob, tu.eps[ep_idx])
+
+
 def remove_box(tu: LoadedTu, index: int) -> Placement:
     """Take out the placement at ``index`` and re-seed the TU's EP array
     from the remaining layout; the twin of ``place_box``."""

@@ -74,15 +74,12 @@ def run_row(
         min_fill_pct=min(fills) if fills else 0.0,
     )
     if stats is not None and stats.initial_fitness > 0:
-        row.ls1_improvements = stats.ls1_improvements
-        row.ls2_improvements = stats.ls2_improvements
-        row.ls1_gain_pct = 100.0 * stats.ls1_gain / stats.initial_fitness
-        row.ls2_gain_pct = 100.0 * stats.ls2_gain / stats.initial_fitness
-        if stats.initial_tu_count:
-            row.tu_reduction_pct = (
-                100.0 * (stats.initial_tu_count - stats.final_tu_count)
-                / stats.initial_tu_count
-            )
+        row.ls1_improvements = stats.improvements("ls1")
+        row.ls2_improvements = stats.improvements("ls2")
+        row.ls1_gain_pct = 100.0 * stats.gain("ls1") / stats.initial_fitness
+        row.ls2_gain_pct = 100.0 * stats.gain("ls2") / stats.initial_fitness
+        first, last = stats.trace[0], stats.trace[-1]
+        row.tu_reduction_pct = 100.0 * (first.tu_count - last.tu_count) / first.tu_count
     return row
 
 

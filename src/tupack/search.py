@@ -36,10 +36,9 @@ from .packer import (
     DEFAULT_COST,
     CostParams,
     SortParams,
-    best_spot,
     fits_empty,
     pack_3dbp,
-    place_box,
+    place_best,
     remove_box,
 )
 
@@ -95,17 +94,35 @@ class TraceEvent:
 
 @dataclass
 class SolveStats:
-    """Counters and the accepted-step trajectory of one solve run."""
+    """The accepted-step trajectory of one solve run; every counter of the
+    run is read from it."""
 
-    initial_fitness: float = 0.0
-    final_fitness: float = 0.0
-    ls1_improvements: int = 0
-    ls2_improvements: int = 0
-    ls1_gain: float = 0.0
-    ls2_gain: float = 0.0
-    initial_tu_count: int = 0
-    final_tu_count: int = 0
     trace: list[TraceEvent] = field(default_factory=list)
+
+    def record(self, phase: str, value: float, sol: Solution):
+        """Append an accepted step: the new incumbent and its fitness."""
+        self.trace.append(TraceEvent(phase, value, len(sol.tus), sol.type_counts()))
+
+    @property
+    def initial_fitness(self) -> float:
+        return self.trace[0].fitness
+
+    @property
+    def final_fitness(self) -> float:
+        return self.trace[-1].fitness
+
+    def improvements(self, phase: str) -> int:
+        """Accepted steps of one phase (``ls1`` or ``ls2``)."""
+        return sum(ev.phase == phase for ev in self.trace)
+
+    def gain(self, phase: str) -> float:
+        """Fitness decrease summed, in step order, over the accepted steps of
+        one phase."""
+        total = 0.0
+        for prev, ev in zip(self.trace, self.trace[1:]):
+            if ev.phase == phase:
+                total += prev.fitness - ev.fitness
+        return total
 
 
 def initialize(
@@ -153,12 +170,8 @@ def _relocate(
     """Move one top-layer box between TUs; None when it cannot land."""
     cand = sol.clone()
     src, dst = cand.tus[origin], cand.tus[dest]
-    moved = remove_box(src, pick)
-    spot = best_spot(dst, moved.box, cost)
-    if spot is None:
+    if place_best(dst, remove_box(src, pick).box, cost) is None:
         return None
-    _, ep_idx, ob = spot
-    place_box(dst, moved.box, ob, dst.eps[ep_idx])
     if not src.placements:
         cand.tus.pop(origin)
     return cand
@@ -171,47 +184,33 @@ def try_swap(
     """Exchange two boxes between TUs at their cheapest positions, if feasible."""
     cand = sol.clone()
     a, b = cand.tus[tu_a], cand.tus[tu_b]
-    box_a = remove_box(a, pick_a)
-    box_b = remove_box(b, pick_b)
-    spot = best_spot(b, box_a.box, cost)
-    if spot is None:
+    box_a = remove_box(a, pick_a).box
+    box_b = remove_box(b, pick_b).box
+    if place_best(b, box_a, cost) is None or place_best(a, box_b, cost) is None:
         return None
-    place_box(b, box_a.box, spot[2], b.eps[spot[1]])
-    spot = best_spot(a, box_b.box, cost)
-    if spot is None:
-        return None
-    place_box(a, box_b.box, spot[2], a.eps[spot[1]])
     return cand
 
 
+def _other(n: int, i: int, rng: random.Random) -> int:
+    """A uniformly drawn TU index in ``range(n)`` other than ``i``."""
+    j = rng.randrange(n - 1)
+    return j + 1 if j >= i else j
+
+
 def _strategy_pairs(sol: Solution, strategy: int, rng: random.Random) -> tuple[int, int] | None:
-    """Origin/destination TU indices for one relocation strategy."""
+    """Origin/destination TU indices for one relocation strategy: 0 and 1
+    start at the heaviest TU, 2 and 3 at the tallest, 4 at a random one; 0 and
+    2 end at the lightest or shortest TU, the others at a random other one."""
     n = len(sol.tus)
-    weights = [tu.total_weight for tu in sol.tus]
-    heights = [tu.height() for tu in sol.tus]
-
-    def rand_other(origin):
-        j = rng.randrange(n - 1)
-        return j + 1 if j >= origin else j
-
-    if strategy == 0:
-        origin = max(range(n), key=lambda i: (weights[i], -i))
-        dest = min(range(n), key=lambda i: (weights[i], i))
-    elif strategy == 1:
-        origin = max(range(n), key=lambda i: (weights[i], -i))
-        dest = rand_other(origin)
-    elif strategy == 2:
-        origin = max(range(n), key=lambda i: (heights[i], -i))
-        dest = min(range(n), key=lambda i: (heights[i], i))
-    elif strategy == 3:
-        origin = max(range(n), key=lambda i: (heights[i], -i))
-        dest = rand_other(origin)
-    else:
+    if strategy == 4:
         origin = rng.randrange(n)
-        dest = rand_other(origin)
-    if origin == dest:
-        return None
-    return origin, dest
+        return origin, _other(n, origin, rng)
+    key = [tu.total_weight if strategy < 2 else tu.height() for tu in sol.tus]
+    origin = max(range(n), key=lambda i: (key[i], -i))
+    if strategy % 2:
+        return origin, _other(n, origin, rng)
+    dest = min(range(n), key=lambda i: (key[i], i))
+    return None if origin == dest else (origin, dest)
 
 
 def move_n1(
@@ -263,9 +262,7 @@ def move_n2(
     n = len(sol.tus)
     for _ in range(params.micro_repeats):
         i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
+        j = _other(n, i, rng)
         top_i = _top_layer(sol.tus[i])
         top_j = _top_layer(sol.tus[j])
         if not top_i or not top_j:
@@ -371,27 +368,14 @@ def ls1(
     """
     incumbent = sol
     value = fitness(sol, objective)
-    improved = True
-    while improved:
-        improved = False
-        for move in ("n1", "n2", "n3"):
-            if move == "n1":
-                cand = move_n1(incumbent, rng, objective, cost, params, value)
-            elif move == "n2":
-                cand = move_n2(incumbent, rng, objective, cost, params, value)
-            else:
-                cand = move_n3(incumbent, rng, pointer, objective, cost, sort, params, value)
-            if cand is not None:
-                new_value = fitness(cand, objective)
-                if stats is not None:
-                    stats.ls1_improvements += 1
-                    stats.ls1_gain += value - new_value
-                    stats.trace.append(
-                        TraceEvent("ls1", new_value, len(cand.tus), cand.type_counts())
-                    )
-                incumbent, value = cand, new_value
-                improved = True
-                break
+    while cand := (
+        move_n1(incumbent, rng, objective, cost, params, value)
+        or move_n2(incumbent, rng, objective, cost, params, value)
+        or move_n3(incumbent, rng, pointer, objective, cost, sort, params, value)
+    ):
+        incumbent, value = cand, fitness(cand, objective)
+        if stats is not None:
+            stats.record("ls1", value, cand)
     return incumbent
 
 
@@ -430,11 +414,7 @@ def ls2(
         if new_value < value:
             pointer.index = idx
             if stats is not None:
-                stats.ls2_improvements += 1
-                stats.ls2_gain += value - new_value
-                stats.trace.append(
-                    TraceEvent("ls2", new_value, len(cand.tus), cand.type_counts())
-                )
+                stats.record("ls2", new_value, cand)
             return cand, True
     return sol, False
 
@@ -457,21 +437,9 @@ def solve(
     pointer = TypePointer(instance.catalog)
     sol = initialize(instance, pointer, cost, sort)
     if stats is not None:
-        stats.initial_fitness = fitness(sol, objective) if sol.tus else 0.0
-        stats.initial_tu_count = len(sol.tus)
-        stats.trace.append(
-            TraceEvent("init", stats.initial_fitness, len(sol.tus), sol.type_counts())
-        )
-    if not sol.tus:
-        if stats is not None:
-            stats.final_fitness = 0.0
-        return sol
+        stats.record("init", fitness(sol, objective), sol)
     while True:
         sol = ls1(sol, search, pointer, rng, objective, cost, sort, stats)
         sol, improved = ls2(sol, search, pointer, rng, objective, cost, sort, stats)
         if not improved:
-            break
-    if stats is not None:
-        stats.final_fitness = fitness(sol, objective)
-        stats.final_tu_count = len(sol.tus)
-    return sol
+            return sol

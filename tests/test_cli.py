@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import tupack
 from tupack.cli import main
 from tupack.fileio import read_instance, read_solution, write_instance, write_solution
 from tupack.geometry import center_of_gravity
@@ -334,3 +339,55 @@ def test_generate_bad_bounds_exits_2(tmp_path, capsys):
                  "--out", tmp_path)
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: bad --bounds")
+
+
+def _edited_instance(pattern, repl):
+    """``solve`` on a copy of a generated instance with one record edited."""
+    def argv(workspace, tmp_path):
+        text = (workspace / "inst" / "gen001_s3.inst.txt").read_text()
+        text, n = re.subn(pattern, repl, text, count=1, flags=re.M)
+        assert n == 1
+        (tmp_path / "bad.inst.txt").write_text(text)
+        return ["solve", tmp_path / "bad.inst.txt", "--out", tmp_path / "bad.sol.txt"]
+    return argv
+
+
+def _duplicate_catalog(workspace, tmp_path):
+    (tmp_path / "cat.txt").write_text("tutype A 120 80 130 1000\ntutype A 120 120 160 1500\n")
+    return ["generate", "--demand", "1,100", "--scheme", "1", "--catalog", tmp_path / "cat.txt",
+            "--out", tmp_path / "gen"]
+
+
+def _generate_with(*flags):
+    def argv(workspace, tmp_path):
+        return ["generate", "--demand", "1,100", "--scheme", "1", *flags, "--out", tmp_path / "gen"]
+    return argv
+
+
+_MALFORMED = {
+    "negative alpha": _edited_instance(r"^alpha .*$", "alpha -1"),
+    "NaN beta": _edited_instance(r"^beta .*$", "beta nan"),
+    "negative theta": _edited_instance(r"^theta .*$", "theta -5"),
+    "negative lb count": _edited_instance(r"^(lb \S+) \d+$", r"\1 -3"),
+    "repeated lb record": _edited_instance(r"^(lb .*)$", r"\1\n\1"),
+    "duplicate catalog id": _duplicate_catalog,
+    "negative density": _generate_with("--density", "-1"),
+    "negative gen-beta": _generate_with("--gen-beta", "-1"),
+    "batch gamma in workers": lambda workspace, tmp_path: [
+        "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas", "95",
+        "--gamma", "-1", "--jobs", "2"],
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_exits_2_with_one_error_line(workspace, tmp_path, case):
+    argv = [str(a) for a in _MALFORMED[case](workspace, tmp_path)]
+    src = str(Path(tupack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "tupack.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

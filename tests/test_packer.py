@@ -24,6 +24,7 @@ from tupack.packer import (
     fits_empty,
     fresh_tu,
     pack_3dbp,
+    place_best,
     place_box,
     placement_cost,
     remove_box,
@@ -530,6 +531,18 @@ def test_remove_box_reseeds_from_the_layout():
                 points = [(0, 0, 0)] + [q for p in tu.placements for q in _ref_candidates(tu, p)]
                 assert ep_list(tu.eps) == _ref_eps(tu, points)
                 assert not tu.eps.flags.writeable
+
+
+def test_place_best_lands_at_best_spot_or_leaves_the_tu_untouched():
+    tu = pack_3dbp(T_120_80_160, _random_boxes(random.Random(7), 12)).tus[0]
+    placements, weight, eps = list(tu.placements), tu.total_weight, tu.eps
+    assert place_best(tu, free_box("whole", 120, 80, 160, weight=5)) is None
+    assert tu.placements == placements and tu.total_weight == weight and tu.eps is eps
+    box = free_box("small", 10, 10, 10, weight=5)
+    twin = tu.clone()
+    _, ep_idx, ob = best_spot(twin, box)
+    assert place_best(tu, box) == place_box(twin, box, ob, twin.eps[ep_idx])
+    assert ep_list(tu.eps) == ep_list(twin.eps) and tu.total_weight == weight + 5
 
 
 def test_best_spot_is_exhaustive_lexicographic_minimum():

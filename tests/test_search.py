@@ -368,8 +368,10 @@ def make_instance(volume, weight, scheme, seed=1, name="t"):
 
 def test_solve_empty_instance():
     inst = Instance("e", [], list(DEFAULT_CATALOG))
-    sol = solve(inst, search=SearchParams(seed=1))
+    stats = SolveStats()
+    sol = solve(inst, search=SearchParams(seed=1), stats=stats)
     assert sol.tus == []
+    assert [(ev.phase, ev.fitness, ev.tu_count) for ev in stats.trace] == [("init", 0.0, 0)]
 
 
 def test_solve_deterministic_given_seed():
@@ -399,6 +401,45 @@ def test_solve_monotone_trajectory_and_stats():
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
     assert stats.final_fitness <= stats.initial_fitness
     assert stats.final_fitness == pytest.approx(fitness(sol, OBJ))
+
+
+def test_stats_count_and_gain_each_accepted_step(monkeypatch):
+    """Each phase's improvement count and gain, read from the trace, equal
+    what its accepted steps did, and the gains add up to the solve's total
+    fitness decrease."""
+    import tupack.search as search
+
+    accepted, gain = {}, {}
+
+    def spy(fn, phase, before_of, after_of):
+        def wrapper(*args):
+            out = fn(*args)
+            after = after_of(out)
+            if after is not None:
+                accepted[phase] += 1
+                gain[phase] += before_of(args) - fitness(after, OBJ)
+            return out
+        return wrapper
+
+    for name in ("move_n1", "move_n2", "move_n3"):
+        monkeypatch.setattr(search, name, spy(getattr(search, name), "ls1",
+                                              lambda args: args[-1], lambda out: out))
+    monkeypatch.setattr(search, "ls2", spy(search.ls2, "ls2", lambda args: fitness(args[0], OBJ),
+                                           lambda out: out[0] if out[1] else None))
+    for volume, weight, seed in ((2, 500, 4), (3, 900, 5)):
+        inst, _ = make_instance(volume, weight, scheme=2, seed=seed)
+        accepted.update(ls1=0, ls2=0)
+        gain.update(ls1=0.0, ls2=0.0)
+        stats = SolveStats()
+        sol = solve(inst, search=SearchParams(seed=seed, omega=95), stats=stats)
+        assert accepted["ls1"] > 0 and accepted["ls2"] > 0
+        for phase in ("ls1", "ls2"):
+            assert stats.improvements(phase) == accepted[phase]
+            assert stats.gain(phase) == pytest.approx(gain[phase])
+        assert stats.final_fitness == fitness(sol, OBJ)
+        assert stats.trace[-1].tu_count == len(sol.tus)
+        assert stats.gain("ls1") + stats.gain("ls2") == pytest.approx(
+            stats.initial_fitness - stats.final_fitness)
 
 
 def test_solve_scheme3_single_type_reaches_lower_bound():
