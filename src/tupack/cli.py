@@ -28,8 +28,6 @@ from .geometry import ObjectiveParams
 from .lowerbound import DemandPoint
 from .packer import CostParams, SortParams
 from .reports import (
-    LS_FIELDS,
-    SUMMARY_FIELDS,
     compare,
     format_row,
     run_row,
@@ -90,22 +88,16 @@ def _parse_demand(text: str) -> DemandPoint:
         v, w = text.split(",")
         return DemandPoint(float(v), float(w))
     except ValueError as exc:
-        raise InputError(f"bad --demand {text!r}: expected non-negative VOLUME,WEIGHT") from exc
+        raise InputError(f"bad --demand {text!r}: expected finite non-negative VOLUME,WEIGHT") from exc
 
 
 def cmd_generate(args) -> int:
-    for flag, value in (("--density", args.density), ("--gen-beta", args.gen_beta)):
-        if not value >= 0:
-            raise InputError(f"bad {flag} {value!r}: expected a non-negative number")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.builtin:
         demands = [DemandPoint(v, w) for v, w in BUILTIN_DEMANDS]
     elif args.demand:
         demands = [_parse_demand(d) for d in args.demand]
     else:
-        print("nothing to generate: pass --demand V,W or --builtin", file=sys.stderr)
-        return 2
+        raise InputError("nothing to generate: pass --demand V,W or --builtin")
     bounds = None
     if args.bounds:
         try:
@@ -115,36 +107,47 @@ def cmd_generate(args) -> int:
             raise InputError(f"bad --bounds {args.bounds!r}: expected LB,UB with 0 < LB <= UB") from exc
     catalog_path = args.catalog or os.environ.get("TUPACK_CATALOG")
     catalog = _read_input(read_catalog, catalog_path) if catalog_path else None
+    made = []
     for i, demand in enumerate(demands, 1):
         name = f"gen{i:03d}_s{args.scheme}"
-        inst, ref = generate_instance(
-            demand, args.scheme, name=name, catalog=catalog, beta=args.gen_beta,
-            bounds=bounds, density=args.density, seed=args.seed + i,
-        )
-        write_instance(out / f"{name}.inst.txt", inst)
-        write_solution(out / f"{name}.ref.txt", ref, inst)
+        try:
+            made.append(generate_instance(
+                demand, args.scheme, name=name, catalog=catalog, beta=args.gen_beta,
+                bounds=bounds, density=args.density, seed=args.seed + i,
+            ))
+        except ValueError as exc:
+            raise InputError(f"{name}: {exc}") from exc
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for inst, ref in made:
+        write_instance(out / f"{inst.name}.inst.txt", inst)
+        write_solution(out / f"{inst.name}.ref.txt", ref, inst)
     print(f"wrote {len(demands)} instances to {out}")
     return 0
 
 
-def _solve(inst, args):
-    """Solve one instance with the parsed solver flags; returns the solution
-    and its report row."""
-    objective, cost, sort, search = _params(args, inst)
+def _solve(inst, params):
+    """Solve one instance with checked parameters (from ``_params``); returns
+    the solution, its report row and the validator's problems with it."""
+    objective, cost, sort, search = params
     stats = SolveStats()
     t0 = time.perf_counter()
     sol = solve(inst, objective, cost, sort, search, stats)
-    return sol, run_row(inst, sol, args.omega, time.perf_counter() - t0, stats)
+    row = run_row(inst, sol, search.omega, time.perf_counter() - t0, stats)
+    return sol, row, validate_solution(inst, sol)
 
 
 def cmd_solve(args) -> int:
     inst = _read_input(read_instance, args.instance)
+    params = _params(args, inst)
     try:
-        sol, row = _solve(inst, args)
-    except InputError:
-        raise
+        sol, row, problems = _solve(inst, params)
     except Exception as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
+        return 1
+    if problems:
+        print(f"solve failed: {len(problems)} violation(s), first: {problems[0]}",
+              file=sys.stderr)
         return 1
     out = Path(args.out) if args.out else Path(args.instance).with_suffix(".sol.txt")
     write_solution(out, sol, inst)
@@ -170,8 +173,8 @@ def cmd_validate(args) -> int:
 def _batch_one(task):
     path, args = task
     inst = _read_input(read_instance, path)
-    sol, row = _solve(inst, args)
-    return row, len(validate_solution(inst, sol))
+    _, row, problems = _solve(inst, _params(args, inst))
+    return row, len(problems)
 
 
 def cmd_batch(args) -> int:
@@ -179,8 +182,7 @@ def cmd_batch(args) -> int:
         raise InputError(f"bad --jobs {args.jobs}: expected at least 1 worker")
     instances = sorted(Path(args.instances).glob("*.inst.txt"))
     if not instances:
-        print(f"no *.inst.txt under {args.instances}", file=sys.stderr)
-        return 2
+        raise InputError(f"no *.inst.txt under {args.instances}")
     try:
         omegas = [float(t) for t in args.omegas.split(",")]
     except ValueError as exc:
@@ -211,8 +213,8 @@ def cmd_batch(args) -> int:
         batch = [r for r in rows if r.omega == omega]
         summaries.append(summarize(batch))
         ls_summaries.append(summarize_local_search(batch))
-    write_summary_csv(out / "summary.csv", summaries, SUMMARY_FIELDS)
-    write_summary_csv(out / "local_search.csv", ls_summaries, LS_FIELDS)
+    write_summary_csv(out / "summary.csv", summaries)
+    write_summary_csv(out / "local_search.csv", ls_summaries)
     print(f"solved {len(instances)} instances x {len(omegas)} omega values -> {out}")
     return 1 if failures else 0
 
@@ -310,9 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command. Exit codes: 0 success; 1 a failed solve, an invalid
-    or unreadable solution, or an unreadable file; 2 a malformed instance or
-    catalog, or a flag value malformed or out of range."""
+    """Run one command. Exit codes: 0 success; 1 a failed solve (including a
+    solution its validator rejects), an invalid or unreadable solution, or an
+    unreadable file; 2 a malformed instance or catalog, a flag value
+    malformed, non-finite or out of range, or generator input it cannot
+    carve (bounds or a catalog type that does not fit)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

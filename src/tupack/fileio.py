@@ -2,8 +2,9 @@
 
 Both formats are whitespace-separated token lines, human-diffable, with
 ``#`` comments and blank lines ignored. All lengths are integer centimeters
-and weights integer kilograms. Parsing is strict: unknown record tags and
-malformed counts raise ``FormatError``.
+and weights integer kilograms. Parsing is strict: unknown record tags,
+malformed counts and weights that are not finite numbers >= 0 raise
+``FormatError`` naming their line.
 
 Instance file:
     format instance 1
@@ -34,9 +35,10 @@ from .geometry import (
     Solution,
     TuType,
     _extents,
+    check_nonnegative,
     fitness,
 )
-from .lowerbound import LowerBound
+from .lowerbound import LowerBound, _objective_liters
 
 
 class FormatError(ValueError):
@@ -73,57 +75,77 @@ def dump_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _records(text: str):
+class _at:
+    """``with _at(ln):`` reports an ``IndexError``/``ValueError`` raised
+    while handling the record on line ``ln`` as ``FormatError("line N: ...")``."""
+
+    __slots__ = ("ln",)
+
+    def __init__(self, ln: int):
+        self.ln = ln
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (IndexError, ValueError)):
+            raise FormatError(f"line {self.ln}: {exc}") from exc
+
+
+def _records(text: str, kind: str | None = None):
+    """Yield ``(line number, tokens)`` for every record, skipping comments
+    and blank lines. With a ``kind``, the ``format KIND`` header is checked
+    and consumed, and a file without one is rejected."""
+    saw_header = False
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield ln, line.split()
+        toks = raw.split("#", 1)[0].split()
+        if kind and toks[:1] == ["format"]:
+            with _at(ln):
+                if toks[1] != kind:
+                    article = "an" if kind[0] in "aeiou" else "a"
+                    raise FormatError(f"not {article} {kind} file")
+            saw_header = True
+        elif toks:
+            yield ln, toks
+    if kind and not saw_header:
+        raise FormatError(f"missing 'format {kind}' header")
 
 
-def _tutype(ln: int, toks: list[str], seen: set[str]) -> TuType:
+def _tutype(toks: list[str], seen: set[str]) -> TuType:
     """One ``tutype ID X Y Z Q`` record; ``seen`` holds the ids read so far."""
     if toks[1] in seen:
-        raise FormatError(f"line {ln}: duplicate tutype id {toks[1]!r}")
+        raise FormatError(f"duplicate tutype id {toks[1]!r}")
     seen.add(toks[1])
     return TuType(toks[1], int(toks[2]), int(toks[3]), int(toks[4]), int(toks[5]))
 
 
 def parse_instance(text: str) -> Instance:
     name = "unnamed"
-    alpha, beta, theta = 1.0, 100.0, 100.0
+    weights: dict[str, float] = {}
     catalog: list[TuType] = []
     lb_counts: dict[str, int] = {}
     boxes: list[BoxSpec] = []
     type_ids: set[str] = set()
     box_ids: set[str] = set()
-    saw_header = False
-    for ln, toks in _records(text):
+    for ln, toks in _records(text, "instance"):
         tag = toks[0]
-        try:
-            if tag == "format":
-                if toks[1] != "instance":
-                    raise FormatError(f"line {ln}: not an instance file")
-                saw_header = True
-            elif tag == "name":
+        with _at(ln):
+            if tag == "name":
                 name = toks[1]
-            elif tag == "alpha":
-                alpha = float(toks[1])
-            elif tag == "beta":
-                beta = float(toks[1])
-            elif tag == "theta":
-                theta = float(toks[1])
+            elif tag in ("alpha", "beta", "theta"):
+                weights[tag] = float(toks[1])
+                check_nonnegative(**{tag: weights[tag]})
             elif tag == "tutype":
-                catalog.append(_tutype(ln, toks, type_ids))
+                catalog.append(_tutype(toks, type_ids))
             elif tag == "lb":
                 if toks[1] in lb_counts:
-                    raise FormatError(f"line {ln}: duplicate lb record for type {toks[1]!r}")
+                    raise FormatError(f"duplicate lb record for type {toks[1]!r}")
                 lb_counts[toks[1]] = int(toks[2])
                 if lb_counts[toks[1]] < 0:
-                    raise FormatError(f"line {ln}: negative lb count {toks[2]}")
+                    raise FormatError(f"negative lb count {toks[2]}")
             elif tag == "box":
                 if toks[1] in box_ids:
-                    raise FormatError(f"line {ln}: duplicate box id {toks[1]!r}")
+                    raise FormatError(f"duplicate box id {toks[1]!r}")
                 box_ids.add(toks[1])
                 boxes.append(
                     BoxSpec(
@@ -133,30 +155,18 @@ def parse_instance(text: str) -> Instance:
                     )
                 )
             else:
-                raise FormatError(f"line {ln}: unknown record {tag!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {ln}: {exc}") from exc
-    if not saw_header:
-        raise FormatError("missing 'format instance' header")
+                raise FormatError(f"unknown record {tag!r}")
     if not catalog:
         raise FormatError("instance has no TU types")
-    try:
-        params = ObjectiveParams(alpha, theta, beta)
-    except ValueError as exc:
-        raise FormatError(f"alpha {alpha!r}, beta {beta!r}, theta {theta!r}: {exc}") from exc
+    params = ObjectiveParams(**weights)
     lower = None
     if lb_counts:
         unknown = set(lb_counts) - {t.id for t in catalog}
         if unknown:
             raise FormatError(f"lb records reference unknown types {sorted(unknown)}")
         counts = tuple(lb_counts.get(t.id, 0) for t in catalog)
-        objective = (
-            sum(c * t.volume_liters for c, t in zip(counts, catalog))
-            + beta * sum(counts)
-        )
-        lower = LowerBound(counts, objective)
+        vols = [t.volume_cm3 for t in catalog]
+        lower = LowerBound(counts, _objective_liters(counts, vols, params.beta))
     return Instance(name, boxes, catalog, params, lower)
 
 
@@ -182,47 +192,32 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
     boxes = {b.id: b for b in inst.boxes}
     inst_name = ""
     recorded_fitness = float("nan")
-    rows: list[tuple[int, str, str, str, int, int, int]] = []
-    saw_header = False
-    for ln, toks in _records(text):
+    tus: dict[int, LoadedTu] = {}
+    for ln, toks in _records(text, "solution"):
         tag = toks[0]
-        try:
-            if tag == "format":
-                if toks[1] != "solution":
-                    raise FormatError(f"line {ln}: not a solution file")
-                saw_header = True
-            elif tag == "instance":
+        with _at(ln):
+            if tag == "instance":
                 inst_name = toks[1]
             elif tag == "fitness":
                 recorded_fitness = float(toks[1])
             elif tag == "placement":
-                rows.append(
-                    (int(toks[1]), toks[2], toks[3], toks[4],
-                     int(toks[5]), int(toks[6]), int(toks[7]))
-                )
+                ti, type_id, box_id, code = int(toks[1]), toks[2], toks[3], toks[4]
+                x, y, z = int(toks[5]), int(toks[6]), int(toks[7])
+                if type_id not in types:
+                    raise FormatError(f"unknown TU type {type_id!r}")
+                if box_id not in boxes:
+                    raise FormatError(f"unknown box {box_id!r}")
+                if code not in ORIENTATION_CODES:
+                    raise FormatError(f"unknown orientation code {code!r}")
+                tu = tus.get(ti)
+                if tu is None:
+                    tu = tus[ti] = LoadedTu(types[type_id])
+                elif tu.tu_type.id != type_id:
+                    raise FormatError(f"TU {ti} listed with two types")
+                box = boxes[box_id]
+                tu.add(Placement(box, code, *_extents(box, code), x, y, z))
             else:
-                raise FormatError(f"line {ln}: unknown record {tag!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {ln}: {exc}") from exc
-    if not saw_header:
-        raise FormatError("missing 'format solution' header")
-    tus: dict[int, LoadedTu] = {}
-    for (ti, type_id, box_id, code, x, y, z) in rows:
-        if type_id not in types:
-            raise FormatError(f"unknown TU type {type_id!r}")
-        if box_id not in boxes:
-            raise FormatError(f"unknown box {box_id!r}")
-        if code not in ORIENTATION_CODES:
-            raise FormatError(f"unknown orientation code {code!r}")
-        tu = tus.get(ti)
-        if tu is None:
-            tu = tus[ti] = LoadedTu(types[type_id])
-        elif tu.tu_type.id != type_id:
-            raise FormatError(f"TU {ti} listed with two types")
-        box = boxes[box_id]
-        tu.add(Placement(box, code, *_extents(box, code), x, y, z))
+                raise FormatError(f"unknown record {tag!r}")
     placed = {p.box.id for tu in tus.values() for p in tu.placements}
     unplaced = [b.id for b in inst.boxes if b.id not in placed]
     sol = Solution([tus[i] for i in sorted(tus)], unplaced)
@@ -234,14 +229,10 @@ def parse_catalog(text: str) -> list[TuType]:
     catalog: list[TuType] = []
     type_ids: set[str] = set()
     for ln, toks in _records(text):
-        if toks[0] != "tutype":
-            raise FormatError(f"line {ln}: catalog files hold only tutype records")
-        try:
-            catalog.append(_tutype(ln, toks, type_ids))
-        except FormatError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
+        with _at(ln):
+            if toks[0] != "tutype":
+                raise FormatError("catalog files hold only tutype records")
+            catalog.append(_tutype(toks, type_ids))
     if not catalog:
         raise FormatError("catalog file has no tutype records")
     return catalog

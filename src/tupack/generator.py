@@ -27,6 +27,7 @@ from .geometry import (
     Placement,
     Solution,
     TuType,
+    check_nonnegative,
     fitness,
     validate_tu,
 )
@@ -37,7 +38,7 @@ class InfeasibleBoundsError(ValueError):
     """Dimension bounds do not fit the TU being partitioned."""
 
 
-class UnknownTypeError(KeyError):
+class UnknownTypeError(ValueError):
     """No perfect-partition table entry for the requested TU type."""
 
 
@@ -239,7 +240,7 @@ def partition_scheme3(tut: TuType) -> list[CarvedBox]:
     """Fixed perfect partition of a catalog type into identical boxes."""
     entry = PERFECT_PARTITIONS.get(tut.id)
     if entry is None:
-        raise UnknownTypeError(tut.id)
+        raise UnknownTypeError(f"no perfect partition for TU type {tut.id!r}")
     w, l, h = entry
     if tut.x % w or tut.y % l or tut.z % h:
         raise UnknownTypeError(f"{tut.id}: table entry does not tile the type")
@@ -326,10 +327,13 @@ def generate_instance(
     Every TU of the optimal covering is partitioned by the chosen scheme;
     box weights follow one shared density. The returned solution places each
     box at its carving coordinates, so its TU multiset equals the covering's
-    and it certifies the lower bound as achievable.
+    and it certifies the lower bound as achievable. Every input it cannot
+    use (a non-finite or negative density or beta, bounds larger than a
+    covering type, a type without a perfect partition) raises ``ValueError``.
     """
     if scheme not in (1, 2, 3):
         raise ValueError("scheme must be 1, 2 or 3")
+    check_nonnegative(density=density, beta=beta)
     if bounds is None:
         bounds = default_bounds_for(scheme)
     catalog = list(catalog) if catalog is not None else list(DEFAULT_CATALOG)

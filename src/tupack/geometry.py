@@ -8,6 +8,7 @@ north, Z grows up. A box placement is identified by its west-south-down corner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -16,6 +17,14 @@ import numpy as np
 
 class EmptyTuError(ValueError):
     """Raised when an operation needs at least one placement in the TU."""
+
+
+def check_nonnegative(**values: float):
+    """Raise ``ValueError`` naming the first value that is not a finite
+    number >= 0 (NaN and infinities fail)."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 class BoxUnpackableError(ValueError):
@@ -77,6 +86,12 @@ def _extents(box: BoxSpec, code: str) -> tuple[int, int, int]:
     return dims[code[0]], dims[code[1]], dims[code[2]]
 
 
+def orientation_allowed(box: BoxSpec, code: str) -> bool:
+    """Whether the rotation flags permit ``code``: the raw width on Z needs
+    ``txz``, the raw length on Z needs ``tyz``."""
+    return {"w": box.txz, "l": box.tyz, "h": True}[code[2]]
+
+
 @lru_cache(maxsize=4096)
 def enumerate_orientations(box: BoxSpec) -> tuple[Orientation, ...]:
     """All allowed axis assignments of ``box``, deduplicated by extent triple.
@@ -88,10 +103,7 @@ def enumerate_orientations(box: BoxSpec) -> tuple[Orientation, ...]:
     out: list[Orientation] = []
     seen: set[tuple[int, int, int]] = set()
     for code in ORIENTATION_CODES:
-        on_z = code[2]
-        if on_z == "w" and not box.txz:
-            continue
-        if on_z == "l" and not box.tyz:
+        if not orientation_allowed(box, code):
             continue
         ext = _extents(box, code)
         if ext in seen:
@@ -284,11 +296,8 @@ def validate_tu(tu: LoadedTu) -> list[Violation]:
     tut = tu.tu_type
 
     for p in tu.placements:
-        allowed = {o.code for o in enumerate_orientations(p.box)}
-        ext_ok = any(
-            (o.w, o.l, o.h) == (p.w, p.l, p.h) for o in enumerate_orientations(p.box)
-        )
-        if p.code not in allowed or not ext_ok:
+        if not (p.code in ORIENTATION_CODES and orientation_allowed(p.box, p.code)
+                and _extents(p.box, p.code) == (p.w, p.l, p.h)):
             out.append(Violation("orientation", (p.box.id,), f"illegal orientation {p.code}"))
         if not within_bounds(p, tut):
             out.append(Violation("bounds", (p.box.id,), f"box exceeds TU {tut.id} bounds"))
@@ -372,9 +381,7 @@ class ObjectiveParams:
     beta: float = 100.0
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not (self.alpha >= 0 and self.theta >= 0 and self.beta >= 0):
-            raise ValueError("objective parameters must be non-negative")
+        check_nonnegative(alpha=self.alpha, theta=self.theta, beta=self.beta)
 
 
 DEFAULT_OBJECTIVE = ObjectiveParams()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import TuType
+from .geometry import TuType, check_nonnegative
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class DemandPoint:
     weight_kg: float
 
     def __post_init__(self):
-        if self.volume_m3 < 0 or self.weight_kg < 0:
-            raise ValueError("demand must be non-negative")
+        check_nonnegative(volume_m3=self.volume_m3, weight_kg=self.weight_kg)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .geometry import (
     Orientation,
     Placement,
     TuType,
+    check_nonnegative,
     enumerate_orientations,
 )
 
@@ -57,10 +58,9 @@ class CostParams:
     lam: float = 1.0
 
     def __post_init__(self):
+        check_nonnegative(big_n=self.big_n, theta=self.theta, lam=self.lam)
         if not self.big_n > self.big_m > 1:
             raise ValueError("pricing constants must satisfy big_n > big_m > 1")
-        if self.theta < 0 or self.lam < 0:
-            raise ValueError("theta and lam must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,18 @@ class RunRow:
     tu_reduction_pct: float = 0.0
 
 
+def _avg(vals):
+    vals = list(vals)
+    return sum(vals) / len(vals) if vals else 0.0
+
+
+def _centering(sol: Solution) -> tuple[float, float]:
+    """Mean CG offset (``mxy``) and mean relative CG height (``mz``) over
+    the solution's TUs; both 0 without TUs."""
+    cgs = [center_of_gravity(tu) for tu in sol.tus]
+    return _avg(c.mxy for c in cgs), _avg(c.mz for c in cgs)
+
+
 def run_row(
     inst: Instance,
     sol: Solution,
@@ -52,7 +64,7 @@ def run_row(
     equal-volume mix of other types counts too.
     """
     fills = [fill_rate(tu) for tu in sol.tus]
-    cgs = [center_of_gravity(tu) for tu in sol.tus]
+    ci_xy, ci_z = _centering(sol)
     vol = sol.total_volume_liters()
     lb_vol = inst.lb_volume_liters()
     delta = None
@@ -66,8 +78,8 @@ def run_row(
         n_tu=len(sol.tus),
         volume_liters=vol,
         delta_volume_pct=delta,
-        ci_xy=sum(c.mxy for c in cgs) / len(cgs) if cgs else 0.0,
-        ci_z=sum(c.mz for c in cgs) / len(cgs) if cgs else 0.0,
+        ci_xy=ci_xy,
+        ci_z=ci_z,
         sol_time_s=round(sol_time_s, 2),
         optimal=optimal,
         max_fill_pct=max(fills) if fills else 0.0,
@@ -94,28 +106,10 @@ def format_row(row: RunRow) -> str:
     )
 
 
-# aggregate stat labels follow the columns of the published result tables:
-# TU count, volume gap, centering indexes, time, optima, extreme fill rates
-SUMMARY_FIELDS = [
-    "omega", "instances", "n_tu", "delta_volume_pct", "ci_xy", "ci_z",
-    "sol_time_s", "n_opt", "max_fill_pct", "min_fill_pct",
-]
-
-LS_FIELDS = [
-    "omega", "n_improvements_ls1", "avg_improvement_ls1_pct",
-    "max_improvement_ls1_pct", "n_improvements_ls2",
-    "avg_improvement_ls2_pct", "max_improvement_ls2_pct",
-    "avg_tu_reduction_pct", "max_tu_reduction_pct",
-]
-
-
-def _avg(vals):
-    vals = list(vals)
-    return sum(vals) / len(vals) if vals else 0.0
-
-
 def summarize(rows: list[RunRow]) -> dict:
-    """Quality aggregate of one omega batch."""
+    """Quality aggregate of one omega batch. The keys, in order, follow the
+    columns of the published result tables: TU count, volume gap, centering
+    indexes, time, optima, extreme fill rates."""
     with_lb = [r for r in rows if r.delta_volume_pct is not None]
     return {
         "omega": rows[0].omega if rows else 0.0,
@@ -155,12 +149,12 @@ def write_rows_csv(path: str | Path, rows: list[RunRow]):
             writer.writerow([getattr(r, c) for c in cols])
 
 
-def write_summary_csv(path: str | Path, summaries: list[dict], fieldnames: list[str]):
+def write_summary_csv(path: str | Path, summaries: list[dict]):
+    """One row per aggregate; the header is the first aggregate's keys."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(summaries[0]))
         writer.writeheader()
-        for s in summaries:
-            writer.writerow({k: s[k] for k in fieldnames})
+        writer.writerows(summaries)
 
 
 @dataclass
@@ -180,15 +174,8 @@ class Comparison:
 
 def compare(sol_a: Solution, sol_b: Solution) -> Comparison:
     """Volume and centering comparison (B relative to A)."""
-
-    def cg_means(sol):
-        cgs = [center_of_gravity(tu) for tu in sol.tus]
-        if not cgs:
-            return 0.0, 0.0
-        return _avg(c.mxy for c in cgs), _avg(c.mz for c in cgs)
-
     va, vb = sol_a.total_volume_liters(), sol_b.total_volume_liters()
-    xy_a, z_a = cg_means(sol_a)
-    xy_b, z_b = cg_means(sol_b)
+    xy_a, z_a = _centering(sol_a)
+    xy_b, z_b = _centering(sol_b)
     delta = 100.0 * (vb - va) / va if va else 0.0
     return Comparison(len(sol_a.tus), len(sol_b.tus), va, vb, delta, xy_a, xy_b, z_a, z_b)

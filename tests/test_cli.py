@@ -128,20 +128,33 @@ def test_batch_without_workers_exits_2(workspace, capsys, jobs):
     assert not out.exists()
 
 
-def test_batch_fails_on_a_broken_partition(workspace, monkeypatch, capsys):
-    import tupack.cli
+def _solve_dropping_a_box(*args):
     from tupack.search import solve
 
-    def solve_dropping_a_box(*args):
-        sol = solve(*args)
-        sol.tus[0].remove_at(0)
-        return sol
+    sol = solve(*args)
+    sol.tus[0].remove_at(0)
+    return sol
 
-    monkeypatch.setattr(tupack.cli, "solve", solve_dropping_a_box)
+
+def test_batch_fails_on_a_broken_partition(workspace, monkeypatch, capsys):
+    import tupack.cli
+
+    monkeypatch.setattr(tupack.cli, "solve", _solve_dropping_a_box)
     rc = run_cli("batch", "--instances", workspace / "inst", "--out", workspace / "r",
                  "--omegas", "95", "--seed", "1")
     assert rc == 1
     assert "1 violations" in capsys.readouterr().err
+
+
+def test_solve_writes_no_invalid_solution(workspace, monkeypatch, capsys):
+    import tupack.cli
+
+    monkeypatch.setattr(tupack.cli, "solve", _solve_dropping_a_box)
+    out = workspace / "x.sol.txt"
+    assert run_cli("solve", workspace / "inst" / "gen002_s3.inst.txt", "--out", out) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("solve failed:") and "\n" not in err
+    assert not out.exists()
 
 
 def test_validate_catches_fitness_tampering(workspace):
@@ -352,16 +365,34 @@ def _edited_instance(pattern, repl):
     return argv
 
 
-def _duplicate_catalog(workspace, tmp_path):
-    (tmp_path / "cat.txt").write_text("tutype A 120 80 130 1000\ntutype A 120 120 160 1500\n")
-    return ["generate", "--demand", "1,100", "--scheme", "1", "--catalog", tmp_path / "cat.txt",
-            "--out", tmp_path / "gen"]
+def _generate(*flags):
+    def argv(workspace, tmp_path):
+        return ["generate", "--scheme", "1", *flags, "--out", tmp_path / "gen"]
+    return argv
 
 
 def _generate_with(*flags):
+    return _generate("--demand", "1,100", *flags)
+
+
+def _generate_from_catalog(text, *flags):
+    """``generate --demand 1,100`` with a catalog file holding ``text``."""
     def argv(workspace, tmp_path):
-        return ["generate", "--demand", "1,100", "--scheme", "1", *flags, "--out", tmp_path / "gen"]
+        (tmp_path / "cat.txt").write_text(text)
+        return _generate_with("--catalog", tmp_path / "cat.txt", *flags)(workspace, tmp_path)
     return argv
+
+
+def _solve_with(*flags):
+    def argv(workspace, tmp_path):
+        return ["solve", workspace / "inst" / "gen001_s3.inst.txt",
+                "--out", tmp_path / "x.sol.txt", *flags]
+    return argv
+
+
+def _batch_on_empty_dir(workspace, tmp_path):
+    (tmp_path / "empty").mkdir()
+    return ["batch", "--instances", tmp_path / "empty", "--out", tmp_path / "r"]
 
 
 _MALFORMED = {
@@ -370,9 +401,25 @@ _MALFORMED = {
     "negative theta": _edited_instance(r"^theta .*$", "theta -5"),
     "negative lb count": _edited_instance(r"^(lb \S+) \d+$", r"\1 -3"),
     "repeated lb record": _edited_instance(r"^(lb .*)$", r"\1\n\1"),
-    "duplicate catalog id": _duplicate_catalog,
+    "infinite theta": _edited_instance(r"^theta .*$", "theta 1e400"),
+    "duplicate catalog id": _generate_from_catalog(
+        "tutype A 120 80 130 1000\ntutype A 120 120 160 1500\n"),
+    "type below carving bounds": _generate_from_catalog("tutype P 10 10 10 900\n"),
+    "type without perfect partition": _generate_from_catalog(
+        "tutype P 100 100 100 900\n", "--scheme", "3"),
     "negative density": _generate_with("--density", "-1"),
+    "infinite density": _generate_with("--density", "inf"),
     "negative gen-beta": _generate_with("--gen-beta", "-1"),
+    "infinite gen-beta": _generate_with("--gen-beta", "inf"),
+    "NaN demand volume": _generate("--demand", "nan,100"),
+    "infinite demand weight": _generate("--demand", "2,inf"),
+    "bounds above every type": _generate_with("--bounds", "200,300"),
+    "nothing to generate": _generate(),
+    "NaN cost-theta": _solve_with("--cost-theta", "nan"),
+    "NaN cost-lambda": _solve_with("--cost-lambda", "nan"),
+    "infinite cost-n": _solve_with("--cost-n", "inf"),
+    "infinite alpha": _solve_with("--alpha", "inf"),
+    "batch without instances": _batch_on_empty_dir,
     "batch gamma in workers": lambda workspace, tmp_path: [
         "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas", "95",
         "--gamma", "-1", "--jobs", "2"],
@@ -382,6 +429,7 @@ _MALFORMED = {
 @pytest.mark.parametrize("case", list(_MALFORMED))
 def test_malformed_input_exits_2_with_one_error_line(workspace, tmp_path, case):
     argv = [str(a) for a in _MALFORMED[case](workspace, tmp_path)]
+    files_before = {p for p in tmp_path.rglob("*") if p.is_file()}
     src = str(Path(tupack.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -391,3 +439,4 @@ def test_malformed_input_exits_2_with_one_error_line(workspace, tmp_path, case):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    assert {p for p in tmp_path.rglob("*") if p.is_file()} == files_before

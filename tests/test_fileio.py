@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tupack.fileio import (
     FormatError,
     dump_instance,
     dump_solution,
+    parse_catalog,
     parse_instance,
     parse_solution,
     read_instance,
@@ -139,3 +141,52 @@ def test_parse_rejects_duplicate_tutype_id():
     )
     with pytest.raises(FormatError, match="line 4: duplicate tutype id 't'"):
         parse_instance(text)
+
+
+_INST, _REF = generate_instance(DemandPoint(1, 400), scheme=2, name="hx", seed=3)
+_VALID = {
+    "instance": dump_instance(_INST),
+    "solution": dump_solution(_REF, _INST.name, _INST.objective),
+    "catalog": "".join(f"tutype {t.id} {t.x} {t.y} {t.z} {t.q}\n" for t in _INST.catalog),
+}
+_PARSERS = {
+    "instance": parse_instance,
+    "solution": lambda text: parse_solution(text, _INST),
+    "catalog": parse_catalog,
+}
+_BAD_TOKENS = ["", "x", "0", "-1", "2", "1.5", "nan", "inf", "-inf", "1e400",
+               "99999999999999999999", "format", "box", "tutype", "#"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_VALID)), data=st.data())
+def test_corrupted_file_raises_only_format_error(kind, data):
+    lines = _VALID[kind].splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    toks = lines[i].split()
+    edit = data.draw(st.sampled_from(["replace token", "drop token", "drop line", "repeat line"]))
+    if edit == "replace token":
+        j = data.draw(st.integers(0, len(toks) - 1))
+        toks[j] = data.draw(st.sampled_from(_BAD_TOKENS) | st.text(max_size=6))
+        lines[i] = " ".join(toks)
+    elif edit == "drop token":
+        del toks[data.draw(st.integers(0, len(toks) - 1))]
+        lines[i] = " ".join(toks)
+    elif edit == "drop line":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    try:
+        _PARSERS[kind]("\n".join(lines) + "\n")
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("tag", ["alpha", "beta", "theta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_non_finite_weight_names_its_line(tag, value):
+    lines = _VALID["instance"].splitlines()
+    ln = next(n for n, line in enumerate(lines, 1) if line.startswith(f"{tag} "))
+    lines[ln - 1] = f"{tag} {value}"
+    with pytest.raises(FormatError, match=rf"^line {ln}: {tag} must be a finite number"):
+        parse_instance("\n".join(lines) + "\n")

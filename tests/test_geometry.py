@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tupack.geometry import (
+    ORIENTATION_CODES,
     BoxSpec,
     EmptyTuError,
     LoadedTu,
@@ -13,6 +14,7 @@ from tupack.geometry import (
     Solution,
     TuType,
     boxes_overlap,
+    _extents,
     center_of_gravity,
     enumerate_orientations,
     fill_rate,
@@ -182,6 +184,19 @@ def test_validate_reports_orientation():
     tu = LoadedTu(T_120_80_130)
     tu.add(Placement(box, "lhw", 40, 20, 30, 0, 0, 0))
     assert [v.kind for v in validate_tu(tu)] == ["orientation"]
+
+
+@pytest.mark.parametrize("dims", [(40, 40, 20), (40, 40, 40)])
+@pytest.mark.parametrize("txz", [False, True])
+@pytest.mark.parametrize("tyz", [False, True])
+def test_validate_accepts_exactly_the_flag_legal_codes(dims, txz, tyz):
+    # equal extents make some codes duplicates of others; each is still legal
+    box = BoxSpec("b", *dims, txz=txz, tyz=tyz)
+    for code in ORIENTATION_CODES:
+        tu = LoadedTu(T_120_80_130)
+        tu.add(Placement(box, code, *_extents(box, code), 0, 0, 0))
+        legal = {"w": txz, "l": tyz, "h": True}[code[2]]
+        assert (validate_tu(tu) == []) is legal, code
 
 
 def test_validate_reports_bounds():
