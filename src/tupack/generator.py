@@ -309,7 +309,10 @@ def validate_solution(
 
 
 def _box_weight(volume_cm3: int, density: float) -> int:
-    return int(density * volume_cm3 / 1e6 + 0.5)
+    weight = density * volume_cm3 / 1e6
+    # a finite density can still overflow the weight of a large box
+    check_nonnegative(**{"box weight": weight})
+    return int(weight + 0.5)
 
 
 def generate_instance(
@@ -328,8 +331,10 @@ def generate_instance(
     box weights follow one shared density. The returned solution places each
     box at its carving coordinates, so its TU multiset equals the covering's
     and it certifies the lower bound as achievable. Every input it cannot
-    use (a non-finite or negative density or beta, bounds larger than a
-    covering type, a type without a perfect partition) raises ``ValueError``.
+    use (a non-finite or negative density or beta, a density that overflows
+    a box weight, a beta that overflows every covering's objective, bounds
+    larger than a covering type, a type without a perfect partition) raises
+    ``ValueError``.
     """
     if scheme not in (1, 2, 3):
         raise ValueError("scheme must be 1, 2 or 3")

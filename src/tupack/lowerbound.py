@@ -64,6 +64,7 @@ def solve_lower_bound(
     against the incumbent, and an optimistic completion cost from the best
     cost-per-volume and cost-per-weight ratios in the catalog. Ties resolve
     to the lexicographically smallest count vector over catalog order.
+    Raises ``ValueError`` when the objective of every covering overflows.
     """
     if not catalog:
         raise ValueError("catalog must not be empty")
@@ -86,7 +87,10 @@ def solve_lower_bound(
 
     def dfs(i: int, cur: float, rem_v: int, rem_w: int):
         if rem_v <= 0 and rem_w <= 0:
-            if cur < best[0] or (cur == best[0] and tuple(counts) < best[1]):
+            # an overflowing (infinite) total never becomes the incumbent
+            if cur < best[0] or (
+                cur == best[0] and best[1] is not None and tuple(counts) < best[1]
+            ):
                 best[0] = cur
                 best[1] = tuple(counts)
             return
@@ -110,6 +114,7 @@ def solve_lower_bound(
         counts[i] = 0
 
     dfs(0, 0.0, need_v, need_w)
-    assert best[1] is not None
+    if best[1] is None:
+        raise ValueError("no finite covering: the objective overflows for every TU count")
     return LowerBound(best[1], _objective_liters(best[1], vols, beta))
 

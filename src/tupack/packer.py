@@ -7,8 +7,9 @@ box along that axis ray. Residuals are a necessary but not sufficient fit
 condition, so every candidate also passes an exact overlap check against the
 boxes already loaded.
 
-One array kernel does the work: a single ray function, a single fit test and
-a single pricing formula, each vectorized over many points or candidates.
+One array kernel does the work: a single ray function, a single measure of
+covers and residuals, a single fit test and a single pricing formula, each
+vectorized over many points or candidates.
 """
 
 from __future__ import annotations
@@ -138,42 +139,68 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _ray(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, axis: int) -> np.ndarray:
-    """Per point, the coordinate reached going from it toward the origin on
-    ``axis``: the nearest far face of a box whose cross-section covers the
-    point, or the TU wall at 0."""
+def _ray(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Per point (rows of ``pts``), the coordinate reached going from it
+    toward the origin on its own axis (``axes``, one per point): the nearest
+    far face of a box whose cross-section covers the point, or the TU wall
+    at 0."""
     p = pts.T[:, :, None]
-    inside = (lo[:, None] <= p) & (p < hi[:, None])
-    inside[axis] = hi[axis] <= p[axis]
-    hit = inside[0] & inside[1] & inside[2]
-    return np.where(hit, hi[axis], 0).max(axis=1, initial=0)
+    # a box is hit when it ends at or before the point on the ray's axis and
+    # its spans on the two other axes cover the point (hi <= p gives lo <= p)
+    short = (p < hi[:, None]) != (_AXES == axes)[:, :, None]
+    hit = ((lo[:, None] <= p) & short).all(axis=0)
+    return np.where(hit, hi[axes], 0).max(axis=1, initial=0)
 
 
+_AXES = np.arange(3)[:, None]
 # per axis, the two other axes
 _OTHER_1, _OTHER_2 = np.array([1, 0, 0]), np.array([2, 2, 1])
 
 
-def _live(lo, hi, pts: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """The EP array of candidate points measured against the whole load.
-
-    Keeps the first occurrence of each point inside the TU (coordinates are
-    never negative), in order, and of those the points that no box covers
-    and that have room on every axis. A residual is the distance to the
-    nearest box face or TU wall ahead on that axis ray.
-    """
-    pts = pts[(pts < dims).all(axis=1)]
-    _, first = np.unique(pts @ (dims[1] * dims[2], dims[2], 1), return_index=True)
-    pts = pts[np.sort(first)]
-    p = pts.T[:, :, None]
-    inside = (lo[:, None] <= p) & (p < hi[:, None])
-    # a box blocks the ray on an axis when it starts at or beyond the point
-    # there and its spans on the two other axes cover the point
-    others = inside[_OTHER_1] & inside[_OTHER_2]
+def _measure(lo, hi, pts: np.ndarray, dims: np.ndarray):
+    """Which points (rows of ``pts``) the boxes (columns of ``lo``/``hi``)
+    cover, and each point's residuals: the distance to the nearest box face
+    or TU wall ahead on each axis ray."""
+    p, lo = pts.T[:, :, None], lo[:, None]
+    start = lo <= p
+    inside = start & (p < hi[:, None])
+    others = inside.take(_OTHER_1, axis=0) & inside.take(_OTHER_2, axis=0)
     covered = (inside[0] & others[0]).any(axis=1)
-    reach = np.where((lo[:, None] >= p) & others, lo[:, None], dims[:, None, None]).min(axis=2)
-    resid = reach.T - pts
-    keep = ~covered & (resid > 0).all(axis=1)
-    return np.concatenate((pts[keep], resid[keep]), axis=1)
+    # a box blocks the ray on an axis when its spans on the two other axes
+    # cover the point and it starts beyond the point there (one that starts
+    # at the point covers it, and a covered point's residuals are moot)
+    reach = np.where(others & ~start, lo, dims[:, None, None]).min(axis=2)
+    return covered, reach.T - pts
+
+
+def _eps(rows: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """The measured rows (x, y, z, rx, ry, rz) whose point no box covers and
+    that have room on every axis, in order."""
+    return rows[~covered & (rows[:, 3:] > 0).all(axis=1)]
+
+
+def _unseen(pts: np.ndarray, seeds: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The points that repeat neither a seed nor an earlier point, in order,
+    found by direct comparison of their cell numbers in the TU's ``_frame``.
+    Coordinates are never negative; those beyond a wall are clamped to it,
+    which keeps the numbering one-to-one, and ``_measure`` gives such points
+    no room."""
+    dims, scale = frame
+    seen = np.concatenate((seeds, np.minimum(pts, dims))) @ scale
+    key = seen[len(seeds):]
+    # a point is new when the first point equal to it is itself
+    return pts[(key[:, None] == seen).argmax(axis=1) == np.arange(len(seeds), len(seen))]
+
+
+# Each rule's starting point as picks from a box's (x, y, z, x', y', z')
+# corners: rule 1 the east-south-down corner, rule 2 the west-north-down
+# corner, rules 3-5 the top corner.
+_START = np.array([[3, 1, 2], [0, 4, 2], [0, 1, 5], [0, 1, 5], [0, 1, 5]])
+# The rays, as the (rule, axis) of each coordinate they set. Pass one drops
+# rules 1-2 down, takes rule 4 south and rule 5 west; pass two takes rules 1
+# and 2 south and west from the points they dropped to.
+_PASSES = ((np.array([0, 1, 3, 4]), np.array([2, 2, 1, 0])), (np.array([0, 1]), np.array([1, 0])))
+_TOP_RULES = np.array([False, False, True, True, True])
 
 
 def _candidate_points(lo, hi, stackable: np.ndarray, blo, bhi) -> np.ndarray:
@@ -183,53 +210,64 @@ def _candidate_points(lo, hi, stackable: np.ndarray, blo, bhi) -> np.ndarray:
     Rule 1 projects the east-south-down corner down then south; rule 2 the
     west-north-down corner down then west. Rules 3-5 apply only to stackable
     boxes: the top corner itself plus its south and west projections. Rays
-    run against the whole load (``lo``/``hi``).
+    run against the whole load (``lo``/``hi``) in two ``_ray`` passes.
     """
     n = blo.shape[1]
-    pts = np.repeat(blo.T[:, None], 5, axis=1)  # (box, rule, axis)
-    pts[:, 0, 0] = bhi[0]  # rule 1 starts at the east-south-down corner
-    pts[:, 1, 1] = bhi[1]  # rule 2 at the west-north-down corner
-    pts[:, 2:, 2] = bhi[2][:, None]  # rules 3-5 at the top corner
-    # rules 1-2 drop down; then rules 1 and 4 go south, rules 2 and 5 go west
-    pts[:, :2, 2] = _ray(lo, hi, pts[:, :2].reshape(-1, 3), 2).reshape(n, 2)
-    pts[:, (0, 3), 1] = _ray(lo, hi, pts[:, (0, 3)].reshape(-1, 3), 1).reshape(n, 2)
-    pts[:, (1, 4), 0] = _ray(lo, hi, pts[:, (1, 4)].reshape(-1, 3), 0).reshape(n, 2)
-    rules = np.ones((n, 5), dtype=bool)
-    rules[:, 2:] = stackable[:, None]
-    return pts[rules]
+    pts = np.concatenate((blo, bhi))[_START.T]  # (axis, rule, box)
+    for rules, axes in _PASSES:
+        reach = _ray(lo, hi, pts[:, rules].reshape(3, -1).T, axes.repeat(n))
+        pts[axes, rules] = reach.reshape(-1, n)
+    return pts.transpose(2, 1, 0)[_TOP_RULES <= stackable[:, None]]
 
 
 @lru_cache(maxsize=64)
-def _dims(tut: TuType) -> np.ndarray:
-    return _frozen(np.array((tut.x, tut.y, tut.z), dtype=np.int64))
+def _frame(tut: TuType) -> np.ndarray:
+    """The TU's dimensions, and the weights that number the cells of the TU
+    with its walls: a point (x, y, z) inside or on a wall is cell
+    x(Y+1)(Z+1) + y(Z+1) + z."""
+    return _frozen(np.array(((tut.x, tut.y, tut.z), ((tut.y + 1) * (tut.z + 1), tut.z + 1, 1)),
+                            dtype=np.int64))
 
 
 def update_eps(tu: LoadedTu, placed: Placement):
-    """Refresh the EP array after an insertion: the old EP points, then the
-    new box's projection points, re-measured against the whole load.
+    """Refresh the EP array after ``place_box`` added ``placed`` as the TU's
+    last placement: the surviving old EPs, then the new box's projection
+    points, in that order.
 
-    Loads only grow between re-seeds, so an old EP's new residual is the
-    smaller of its old one and the distance to the new box, and it dies when
-    the new box covers it; measuring against the whole load gives exactly
-    that (the residual-space update of Crainic, Perboli & Tadei).
+    Between re-seeds a TU's load only grows, so against the whole load an
+    old EP's residual on each axis is the smaller of its old one and the
+    distance to the new box, and it dies exactly when the new box covers it.
+    The old EPs are therefore cut against the new box alone (the
+    residual-space update of Crainic, Perboli & Tadei). Only the new points
+    are measured against the whole load, after dropping those that repeat
+    an earlier one or an old EP point; those on or beyond a wall get no
+    room there and die in the measure.
     """
     lo, hi, _ = tu.geometry()
-    box = np.array([[placed.x, placed.y, placed.z, placed.w, placed.l, placed.h]]).T
-    blo, bhi = box[:3], box[:3] + box[3:]
+    blo, bhi = lo[:, -1:], hi[:, -1:]
+    frame, eps = _frame(tu.tu_type), tu.eps
+    covered, cut = _measure(blo, bhi, eps[:, :3], frame[0])
     cand = _candidate_points(lo, hi, np.array([placed.box.stackable]), blo, bhi)
-    tu.eps = _frozen(_live(lo, hi, np.concatenate((tu.eps[:, :3], cand)), _dims(tu.tu_type)))
+    new = _unseen(cand, eps[:, :3], frame)
+    fresh, resid = _measure(lo, hi, new, frame[0])
+    rows = np.concatenate((eps, np.concatenate((new, resid), axis=1)))
+    np.minimum(rows[:len(eps), 3:], cut, out=rows[:len(eps), 3:])
+    tu.eps = _frozen(_eps(rows, np.concatenate((covered, fresh))))
 
 
 def eps_of_layout(tu: LoadedTu) -> np.ndarray:
     """The EP array derived from a layout alone, with no construction history:
-    the origin, then every box's projection points, measured like
-    ``update_eps``. An empty TU yields the single origin EP."""
+    the origin, then every box's projection points, all measured against the
+    whole load like ``update_eps``'s new points. An empty TU yields the
+    single origin EP."""
     if not tu.placements:
         return _origin_eps(tu.tu_type)
     lo, hi, nonstack = tu.geometry()
-    origin = np.zeros((1, 3), dtype=np.int64)
-    pts = np.concatenate((origin, _candidate_points(lo, hi, ~nonstack, lo, hi)))
-    return _frozen(_live(lo, hi, pts, _dims(tu.tu_type)))
+    frame, origin = _frame(tu.tu_type), np.zeros((1, 3), dtype=np.int64)
+    cand = _candidate_points(lo, hi, ~nonstack, lo, hi)
+    pts = np.concatenate((origin, _unseen(cand, origin, frame)))
+    covered, resid = _measure(lo, hi, pts, frame[0])
+    return _frozen(_eps(np.concatenate((pts, resid), axis=1), covered))
 
 
 def _origin_eps(tut: TuType) -> np.ndarray:

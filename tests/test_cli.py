@@ -411,6 +411,8 @@ _MALFORMED = {
     "infinite density": _generate_with("--density", "inf"),
     "negative gen-beta": _generate_with("--gen-beta", "-1"),
     "infinite gen-beta": _generate_with("--gen-beta", "inf"),
+    "overflowing density": _generate_with("--density", "1e308"),
+    "overflowing gen-beta": _generate_with("--gen-beta", "1e308"),
     "NaN demand volume": _generate("--demand", "nan,100"),
     "infinite demand weight": _generate("--demand", "2,inf"),
     "bounds above every type": _generate_with("--bounds", "200,300"),

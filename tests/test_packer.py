@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tupack.geometry import (
     BoxSpec,
@@ -516,6 +517,46 @@ def test_incremental_eps_equal_full_remeasure():
         # incremental updates resumed on re-seeded TUs
         _pack_without_memo(T_120_80_160, _random_boxes(rng, 8), open_tus=tus, after_place=check)
     assert checked > 500
+
+
+def _anchored_spot(tu, box, pick):
+    """Where a test places the box: the cheapest spot when ``pick`` is None,
+    else flush on EP number ``pick`` (modulo the EP count) in the first
+    orientation that fits there; None when the choice finds no room."""
+    if pick is None:
+        spot = best_spot(tu, box)
+        return None if spot is None else (tu.eps[spot[1]], spot[2])
+    eps = ep_list(tu.eps)
+    if not eps:
+        return None
+    ep = eps[pick % len(eps)]
+    fitting = [o for o in enumerate_orientations(box) if can_fit(tu, ep, o, box)]
+    return (ep, fitting[0]) if fitting else None
+
+
+_small_box = st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 10),
+                       st.booleans(), st.booleans(), st.booleans())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(dims=st.tuples(st.integers(2, 30), st.integers(2, 30), st.integers(2, 60)),
+       steps=st.lists(st.tuples(_small_box, st.none() | st.integers(0, 63)),
+                      min_size=5, max_size=40))
+def test_every_insertion_equals_the_full_remeasure(dims, steps):
+    """After every ``place_box`` the EP array is the pure-Python re-measure of
+    the old EP points plus the new box's projection points, against the
+    whole load: in narrow and tall TUs whose walls stop the projections,
+    with boxes anchored flush on any EP (so new points land on old ones),
+    non-stackable boxes and rotation flags."""
+    tu = fresh_tu(TuType("small", *dims, 10**6))
+    for i, ((w, l, h, txz, tyz, stackable), pick) in enumerate(steps):
+        box = BoxSpec(f"b{i}", w, l, h, 0, txz, tyz, stackable)
+        spot = _anchored_spot(tu, box, pick)
+        if spot is None:
+            continue
+        before = [e[:3] for e in ep_list(tu.eps)]
+        p = place_box(tu, box, spot[1], spot[0])
+        assert ep_list(tu.eps) == _ref_eps(tu, before + _ref_candidates(tu, p))
 
 
 def test_remove_box_reseeds_from_the_layout():
