@@ -11,14 +11,15 @@ directory, so only committed files are measured. For every workload
 (``NAME:PAIRS``) the script runs ``perfbench/run.py --trace 0`` on both
 sides PAIRS times, alternating which side runs first, with seeds
 ``first-seed``, ``first-seed + 1``, ... (both sides of a pair share the
-seed). It then runs one ``--trace 1`` pass per side. The record keeps
+seed). It then runs PAIRS pairs of ``--trace 1`` passes the same way,
+because one traced pass is as noisy as the host. The record keeps
 perfbench's own output: per run the end-to-end metrics (quality included),
 the failure count and the fingerprint; per traced pass every per-layer
 metric; and the Python and numpy versions and core count of the runs.
 For each end-to-end metric it adds both sides' medians and quartiles, the
 pairs the change won (ties count for neither, "better" as ``BENCHMARK.json``
 says) and whether the change's median is worse than the parent's by more
-than the metric's bound. The file is rewritten after every run, so an
+than the metric's bound; for each per-layer metric, both sides' medians. The file is rewritten after every run, so an
 interrupted comparison keeps what it measured.
 """
 
@@ -89,6 +90,27 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def pairs_of(checkouts: dict, workload: str, count: int, first_seed: int, seconds: float,
+             trace: int):
+    """``count`` pairs of runs, alternating which side runs first; both runs
+    of a pair share the seed."""
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        yield {"first": order[0], **{side: perfbench(checkouts[side], workload, first_seed + i,
+                                                     seconds, trace) for side in order}}
+
+
+def layer_summary(pairs: list[dict]) -> dict:
+    """Per per-layer metric: both sides' medians over the traced pairs."""
+    out = {}
+    for name in pairs[0]["parent"]["metrics"]:
+        par, chg = (statistics.median(p[side]["metrics"][name] for p in pairs)
+                    for side in ("parent", "change"))
+        out[name] = {"parent": par, "change": chg,
+                     "change_vs_parent_pct": 100.0 * (chg - par) / par if par else None}
+    return out
+
+
 def summarize(pairs: list[dict], spec: dict) -> dict:
     """Per end-to-end metric: medians, quartiles, wins and the bound check."""
     out = {}
@@ -131,28 +153,23 @@ def main(argv=None) -> int:
                  "change": export(args.change, Path(tmp) / "change")}
         for item in args.workload:
             workload, _, count = item.partition(":")
-            entry = bench["workloads"][workload] = {"pairs": [], "traced": {}}
-            for i in range(int(count or 10)):
-                seed = args.first_seed + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"first": order[0]}
-                for side in order:
-                    run = perfbench(sides[side], workload, seed, args.seconds, 0)
-                    bench["host"] = {k: run["record"][k] for k in ("python", "numpy", "nproc")}
-                    pair[side] = run_entry(run)
-                entry["pairs"].append(pair)
+            entry = bench["workloads"][workload] = {"pairs": [], "traced_pairs": []}
+            for pair in pairs_of(sides, workload, int(count or 10), args.first_seed,
+                                 args.seconds, 0):
+                bench["host"] = {k: pair["parent"]["record"][k]
+                                 for k in ("python", "numpy", "nproc")}
+                entry["pairs"].append({"first": pair["first"], "parent": run_entry(pair["parent"]),
+                                       "change": run_entry(pair["change"])})
                 entry["fingerprints"] = {
                     side: sorted({p[side]["fingerprint"] for p in entry["pairs"]})
                     for side in ("parent", "change")}
                 entry["summary"] = summarize(entry["pairs"], spec)
                 write(out, bench)
-            for side in ("parent", "change"):
-                run = perfbench(sides[side], workload, args.first_seed, args.seconds, 1)
-                entry["traced"][side] = {
-                    "seed": args.first_seed,
-                    "fingerprint": run["record"]["fingerprint"],
-                    "metrics": {k: v["value"] for k, v in run["metrics"].items()},
-                }
+            for pair in pairs_of(sides, workload, int(count or 10), args.first_seed,
+                                 args.seconds, 1):
+                entry["traced_pairs"].append({"first": pair["first"], "parent": run_entry(
+                    pair["parent"]), "change": run_entry(pair["change"])})
+                entry["traced_summary"] = layer_summary(entry["traced_pairs"])
                 write(out, bench)
     return 0
 
