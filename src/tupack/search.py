@@ -33,7 +33,6 @@ from .geometry import (
     tu_objective_term,
 )
 from .packer import (
-    DEFAULT_COST,
     CostParams,
     SortParams,
     fits_empty,
@@ -125,6 +124,22 @@ class SolveStats:
         return total
 
 
+@dataclass(frozen=True)
+class Run:
+    """What every step of one solve shares: its constants, its one random
+    stream, the type pointer and the trace. A record, not a class with move
+    methods: the moves stay module functions called by name, so a tracer can
+    rebind them."""
+
+    objective: ObjectiveParams
+    cost: CostParams
+    sort: SortParams
+    search: SearchParams
+    rng: random.Random
+    pointer: TypePointer
+    stats: SolveStats
+
+
 def initialize(
     instance: Instance,
     pointer: TypePointer,
@@ -178,8 +193,7 @@ def _relocate(
 
 
 def try_swap(
-    sol: Solution, tu_a: int, pick_a: int, tu_b: int, pick_b: int,
-    cost: CostParams = DEFAULT_COST,
+    sol: Solution, tu_a: int, pick_a: int, tu_b: int, pick_b: int, cost: CostParams
 ) -> Solution | None:
     """Exchange two boxes between TUs at their cheapest positions, if feasible."""
     cand = sol.clone()
@@ -213,14 +227,7 @@ def _strategy_pairs(sol: Solution, strategy: int, rng: random.Random) -> tuple[i
     return None if origin == dest else (origin, dest)
 
 
-def move_n1(
-    sol: Solution,
-    rng: random.Random,
-    objective: ObjectiveParams,
-    cost: CostParams,
-    params: SearchParams,
-    incumbent_fitness: float,
-) -> Solution | None:
+def move_n1(sol: Solution, run: Run, incumbent_fitness: float) -> Solution | None:
     """Relocation move: take a box from the top of one TU onto another.
 
     Five origin/destination strategies run in a fixed order (heaviest to
@@ -233,34 +240,27 @@ def move_n1(
     if len(sol.tus) < 2:
         return None
     for strategy in range(5):
-        for _ in range(params.micro_repeats):
-            pair = _strategy_pairs(sol, strategy, rng)
+        for _ in range(run.search.micro_repeats):
+            pair = _strategy_pairs(sol, strategy, run.rng)
             if pair is None:
                 continue
             origin, dest = pair
             pool = _top_layer(sol.tus[origin])[:3]
             if not pool:
                 continue
-            pick = pool[rng.randrange(len(pool))]
-            cand = _relocate(sol, origin, dest, pick, cost)
-            if cand is not None and fitness(cand, objective) < incumbent_fitness:
+            pick = pool[run.rng.randrange(len(pool))]
+            cand = _relocate(sol, origin, dest, pick, run.cost)
+            if cand is not None and fitness(cand, run.objective) < incumbent_fitness:
                 return cand
     return None
 
 
-def move_n2(
-    sol: Solution,
-    rng: random.Random,
-    objective: ObjectiveParams,
-    cost: CostParams,
-    params: SearchParams,
-    incumbent_fitness: float,
-) -> Solution | None:
+def move_n2(sol: Solution, run: Run, incumbent_fitness: float) -> Solution | None:
     """Swap move: exchange one top-layer box between two random TUs."""
     if len(sol.tus) < 2:
         return None
-    n = len(sol.tus)
-    for _ in range(params.micro_repeats):
+    n, rng = len(sol.tus), run.rng
+    for _ in range(run.search.micro_repeats):
         i = rng.randrange(n)
         j = _other(n, i, rng)
         top_i = _top_layer(sol.tus[i])
@@ -269,8 +269,8 @@ def move_n2(
             continue
         pick_i = top_i[rng.randrange(len(top_i))]
         pick_j = top_j[rng.randrange(len(top_j))]
-        cand = try_swap(sol, i, pick_i, j, pick_j, cost)
-        if cand is not None and fitness(cand, objective) < incumbent_fitness:
+        cand = try_swap(sol, i, pick_i, j, pick_j, run.cost)
+        if cand is not None and fitness(cand, run.objective) < incumbent_fitness:
             return cand
     return None
 
@@ -295,13 +295,7 @@ def _destroy(
 
 
 def _rebuild(
-    survivors: list[LoadedTu],
-    released: list[BoxSpec],
-    tut,
-    cost: CostParams,
-    sort: SortParams,
-    objective: ObjectiveParams,
-    budget: float,
+    survivors: list[LoadedTu], released: list[BoxSpec], tut, run: Run, budget: float
 ) -> Solution | None:
     """Survivors plus a fresh pack of the released boxes; None when some
     released box cannot fit the rebuild type, or when the new TUs cannot stay
@@ -315,80 +309,53 @@ def _rebuild(
     """
     if any(not fits_empty(b, tut) for b in released):
         return None
+    objective = run.objective
     per_tu = tut.volume_liters + objective.alpha * objective.theta + objective.beta
     cap = math.ceil(budget / per_tu) - 1
     volume = sum(b.volume for b in released)
     weight = sum(b.weight for b in released)
     if cap < max(1, -(-volume // tut.volume_cm3), -(-weight // tut.q)):
         return None
-    result = pack_3dbp(tut, released, cost, sort, max_tus=cap)
+    result = pack_3dbp(tut, released, run.cost, run.sort, max_tus=cap)
     if result.unplaced:
         return None
     return Solution([tu.clone() for tu in survivors] + result.tus)
 
 
-def move_n3(
-    sol: Solution,
-    rng: random.Random,
-    pointer: TypePointer,
-    objective: ObjectiveParams,
-    cost: CostParams,
-    sort: SortParams,
-    params: SearchParams,
-    incumbent_fitness: float,
-) -> Solution | None:
+def move_n3(sol: Solution, run: Run, incumbent_fitness: float) -> Solution | None:
     """Destroy-repack move: rebuild a random subset of TUs with the pointer's
     current type."""
     if len(sol.tus) < 2:
         return None
-    for _ in range(params.micro_repeats):
-        n = rng.randint(2, len(sol.tus))
-        victims = sorted(rng.sample(range(len(sol.tus)), n))
-        survivors, released, budget = _destroy(sol, victims, objective, incumbent_fitness)
-        cand = _rebuild(survivors, released, pointer.current(), cost, sort, objective, budget)
-        if cand is not None and fitness(cand, objective) < incumbent_fitness:
+    for _ in range(run.search.micro_repeats):
+        n = run.rng.randint(2, len(sol.tus))
+        victims = sorted(run.rng.sample(range(len(sol.tus)), n))
+        survivors, released, budget = _destroy(sol, victims, run.objective, incumbent_fitness)
+        cand = _rebuild(survivors, released, run.pointer.current(), run, budget)
+        if cand is not None and fitness(cand, run.objective) < incumbent_fitness:
             return cand
     return None
 
 
-def ls1(
-    sol: Solution,
-    params: SearchParams,
-    pointer: TypePointer,
-    rng: random.Random,
-    objective: ObjectiveParams,
-    cost: CostParams,
-    sort: SortParams,
-    stats: SolveStats | None = None,
-) -> Solution:
+def ls1(sol: Solution, run: Run) -> Solution:
     """First-order search: relocations, swaps, destroy-repacks.
 
     The three moves run in order; any acceptance restarts the sequence from
     the first move. Stops when one full pass yields no strict improvement.
     """
     incumbent = sol
-    value = fitness(sol, objective)
+    value = fitness(sol, run.objective)
     while cand := (
-        move_n1(incumbent, rng, objective, cost, params, value)
-        or move_n2(incumbent, rng, objective, cost, params, value)
-        or move_n3(incumbent, rng, pointer, objective, cost, sort, params, value)
+        move_n1(incumbent, run, value)
+        or move_n2(incumbent, run, value)
+        or move_n3(incumbent, run, value)
     ):
-        incumbent, value = cand, fitness(cand, objective)
-        if stats is not None:
-            stats.record("ls1", value, cand)
+        incumbent, value = cand, fitness(cand, run.objective)
+        run.stats.record("ls1", value, cand)
     return incumbent
 
 
-def ls2(
-    sol: Solution,
-    params: SearchParams,
-    pointer: TypePointer,
-    rng: random.Random,
-    objective: ObjectiveParams,
-    cost: CostParams,
-    sort: SortParams,
-    stats: SolveStats | None = None,
-) -> tuple[Solution, bool]:
+def ls2(sol: Solution, run: Run) -> tuple[Solution, bool]:
     """Second-order search: destroy badly used TUs, rebuild with other types.
 
     A TU is destroyed when its fill rate is below omega or its lateral slack
@@ -397,24 +364,23 @@ def ls2(
     rebuild is adopted and leaves the pointer on its type. A full scan with
     no improvement returns the input unchanged.
     """
-    value = fitness(sol, objective)
+    value = fitness(sol, run.objective)
     victims = [
         i
         for i, tu in enumerate(sol.tus)
-        if fill_rate(tu) < params.omega or tu.lateral_slack() > params.gamma
+        if fill_rate(tu) < run.search.omega or tu.lateral_slack() > run.search.gamma
     ]
     if not victims:
         return sol, False
-    survivors, released, budget = _destroy(sol, victims, objective, value)
-    for idx, tut in pointer.scan():
-        cand = _rebuild(survivors, released, tut, cost, sort, objective, budget)
+    survivors, released, budget = _destroy(sol, victims, run.objective, value)
+    for idx, tut in run.pointer.scan():
+        cand = _rebuild(survivors, released, tut, run, budget)
         if cand is None:
             continue
-        new_value = fitness(cand, objective)
+        new_value = fitness(cand, run.objective)
         if new_value < value:
-            pointer.index = idx
-            if stats is not None:
-                stats.record("ls2", new_value, cand)
+            run.pointer.index = idx
+            run.stats.record("ls2", new_value, cand)
             return cand, True
     return sol, False
 
@@ -428,18 +394,20 @@ def solve(
     stats: SolveStats | None = None,
 ) -> Solution:
     """Full run: construct, then alternate the two searches until the
-    second-order scan exhausts the catalog without improvement."""
-    objective = objective or instance.objective
-    cost = cost or CostParams()
-    sort = sort or SortParams()
+    second-order scan exhausts the catalog without improvement.
+
+    The run's trace goes to ``stats`` when given, else to a fresh
+    ``SolveStats``; it never steers the search.
+    """
     search = search or SearchParams()
-    rng = random.Random(search.seed)
-    pointer = TypePointer(instance.catalog)
-    sol = initialize(instance, pointer, cost, sort)
-    if stats is not None:
-        stats.record("init", fitness(sol, objective), sol)
+    run = Run(
+        objective or instance.objective, cost or CostParams(), sort or SortParams(), search,
+        random.Random(search.seed), TypePointer(instance.catalog), stats or SolveStats(),
+    )
+    sol = initialize(instance, run.pointer, run.cost, run.sort)
+    run.stats.record("init", fitness(sol, run.objective), sol)
     while True:
-        sol = ls1(sol, search, pointer, rng, objective, cost, sort, stats)
-        sol, improved = ls2(sol, search, pointer, rng, objective, cost, sort, stats)
+        sol = ls1(sol, run)
+        sol, improved = ls2(sol, run)
         if not improved:
             return sol

@@ -1,0 +1,67 @@
+"""The statistics behind a ``BENCH_<pr>.json``: ``scripts/bench_record.py``'s
+``quartiles`` and ``summarize`` on hand-built pairs (no git, no perfbench)."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", _SCRIPT)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def _spec_of(better, bound=0.25):
+    return {"end_to_end": [{"name": "m", "unit": "s", "better": better, "bound": bound}]}
+
+
+def _pairs(*values):
+    """One pair per (parent, change) value of the metric ``m``."""
+    return [{"parent": {"metrics": {"m": p}}, "change": {"metrics": {"m": c}}}
+            for p, c in values]
+
+
+def test_ties_count_for_neither_side():
+    out = bench_record.summarize(_pairs((1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (3.0, 3.0)),
+                                 _spec_of("lower"))["m"]
+    assert (out["wins"], out["losses"], out["ties"]) == (1, 1, 2)
+
+
+def test_better_higher_flips_a_win():
+    pairs = _pairs((1.0, 2.0), (1.0, 3.0), (2.0, 1.0))
+    lower = bench_record.summarize(pairs, _spec_of("lower"))["m"]
+    higher = bench_record.summarize(pairs, _spec_of("higher"))["m"]
+    assert (lower["wins"], lower["losses"], lower["ties"]) == (1, 2, 0)
+    assert (higher["wins"], higher["losses"], higher["ties"]) == (2, 1, 0)
+
+
+@pytest.mark.parametrize("better, change, beyond", [
+    ("lower", 1.25, False),   # worse by exactly the bound
+    ("lower", 1.26, True),
+    ("lower", 0.5, False),    # better by far
+    ("higher", 0.75, False),
+    ("higher", 0.74, True),
+    ("higher", 2.0, False),
+])
+def test_worse_beyond_bound_only_past_the_bound(better, change, beyond):
+    out = bench_record.summarize(_pairs((1.0, change)), _spec_of(better))["m"]
+    assert out["worse_beyond_bound"] is beyond
+
+
+def test_worse_beyond_bound_reads_the_medians():
+    # one bad pair out of three does not move the change's median past the bound
+    out = bench_record.summarize(_pairs((1.0, 1.0), (1.0, 1.1), (1.0, 9.0)),
+                                 _spec_of("lower"))["m"]
+    assert out["change"]["median"] == 1.1
+    assert out["worse_beyond_bound"] is False
+
+
+def test_a_single_pair_gives_equal_quartiles():
+    assert bench_record.quartiles([3.5]) == {"median": 3.5, "q1": 3.5, "q3": 3.5}
+    out = bench_record.summarize(_pairs((2.0, 1.5)), _spec_of("lower"))["m"]
+    assert out["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert out["parent_iqr"] == 0.0
+    assert out["change_vs_parent_pct"] == pytest.approx(-25.0)

@@ -375,11 +375,12 @@ def _generate_with(*flags):
     return _generate("--demand", "1,100", *flags)
 
 
-def _generate_from_catalog(text, *flags):
-    """``generate --demand 1,100`` with a catalog file holding ``text``."""
+def _generate_from_catalog(text, *flags, demand="1,100"):
+    """``generate --demand DEMAND`` with a catalog file holding ``text``."""
     def argv(workspace, tmp_path):
         (tmp_path / "cat.txt").write_text(text)
-        return _generate_with("--catalog", tmp_path / "cat.txt", *flags)(workspace, tmp_path)
+        return _generate("--demand", demand, "--catalog", tmp_path / "cat.txt",
+                         *flags)(workspace, tmp_path)
     return argv
 
 
@@ -405,6 +406,8 @@ _MALFORMED = {
     "duplicate catalog id": _generate_from_catalog(
         "tutype A 120 80 130 1000\ntutype A 120 120 160 1500\n"),
     "type below carving bounds": _generate_from_catalog("tutype P 10 10 10 900\n"),
+    "type below carving bounds, 50 TUs": _generate_from_catalog(
+        "tutype P 10 10 10 900\n", demand="0.05,1"),
     "type without perfect partition": _generate_from_catalog(
         "tutype P 100 100 100 900\n", "--scheme", "3"),
     "negative density": _generate_with("--density", "-1"),
@@ -415,6 +418,8 @@ _MALFORMED = {
     "overflowing gen-beta": _generate_with("--gen-beta", "1e308"),
     "NaN demand volume": _generate("--demand", "nan,100"),
     "infinite demand weight": _generate("--demand", "2,inf"),
+    "huge finite demand volume": _generate("--demand", "1e300,100"),
+    "huge finite demand weight": _generate("--demand", "1,1e300"),
     "bounds above every type": _generate_with("--bounds", "200,300"),
     "nothing to generate": _generate(),
     "NaN cost-theta": _solve_with("--cost-theta", "nan"),

@@ -20,6 +20,7 @@ from tupack.geometry import (
 from tupack.lowerbound import DemandPoint
 from tupack.packer import CostParams, SortParams, eps_of_layout, fits_empty, pack_3dbp
 from tupack.search import (
+    Run,
     SearchParams,
     SolveStats,
     TypePointer,
@@ -54,6 +55,12 @@ def loaded(tut, rows):
 
 def feasible(sol):
     return all(validate_tu(tu) == [] for tu in sol.tus)
+
+
+def _run(seed=0, pointer=None, params=None, objective=OBJ):
+    """One search run with the test constants; the pointer defaults to T1 alone."""
+    return Run(objective, COST, SORT, params or SearchParams(), random.Random(seed),
+               pointer or TypePointer([T1]), SolveStats())
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +142,7 @@ def n1_fixture():
 def test_n1_relocates_and_improves():
     sol = n1_fixture()
     before = fitness(sol, OBJ)
-    cand = move_n1(sol, random.Random(1), OBJ, COST, SearchParams(), before)
+    cand = move_n1(sol, _run(1), before)
     assert cand is not None
     assert fitness(cand, OBJ) < before
     assert feasible(cand)
@@ -146,7 +153,7 @@ def test_n1_relocates_and_improves():
 
 def test_n1_single_tu_no_move():
     sol = Solution([loaded(T1, [("a", 40, 40, 40, 0, 0, 0, 10)])])
-    assert move_n1(sol, random.Random(0), OBJ, COST, SearchParams(), fitness(sol)) is None
+    assert move_n1(sol, _run(0), fitness(sol)) is None
 
 
 def test_n1_pool_smaller_than_three():
@@ -229,7 +236,7 @@ def test_swap_cross_fitting_boxes():
 
 def test_n2_no_move_on_single_tu():
     sol = Solution([loaded(T1, [("a", 40, 40, 40, 0, 0, 0, 10)])])
-    assert move_n2(sol, random.Random(0), OBJ, COST, SearchParams(), fitness(sol)) is None
+    assert move_n2(sol, _run(0), fitness(sol)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +253,7 @@ def test_n3_consolidates_two_half_tus():
     sol = half_full_pair()
     ptr = TypePointer([T1])
     before = fitness(sol, OBJ)
-    cand = move_n3(sol, random.Random(3), ptr, OBJ, COST, SORT, SearchParams(), before)
+    cand = move_n3(sol, _run(3, ptr), before)
     assert cand is not None
     assert len(cand.tus) == 1
     assert feasible(cand)
@@ -256,7 +263,7 @@ def test_n3_consolidates_two_half_tus():
 def test_n3_single_tu_no_move():
     sol = Solution([loaded(T1, [("a", 40, 40, 40, 0, 0, 0, 10)])])
     ptr = TypePointer([T1])
-    assert move_n3(sol, random.Random(0), ptr, OBJ, COST, SORT, SearchParams(), fitness(sol)) is None
+    assert move_n3(sol, _run(0, ptr), fitness(sol)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +274,13 @@ def test_ls1_leaves_local_optimum_alone():
     carve = [(x, y, z) for z in (0, 65) for x in (0, 40, 80) for y in (0, 40)]
     rows = [b + c + (5,) for b, c in zip(boxes, carve)]
     sol = Solution([loaded(T1, rows)])
-    out = ls1(sol, SearchParams(), TypePointer([T1]), random.Random(0), OBJ, COST, SORT)
+    out = ls1(sol, _run(0))
     assert out is sol
 
 
 def test_ls1_consolidates_via_n3():
     sol = half_full_pair()
-    out = ls1(sol, SearchParams(), TypePointer([T1]), random.Random(5), OBJ, COST, SORT)
+    out = ls1(sol, _run(5))
     assert len(out.tus) == 1
     assert feasible(out)
     assert fitness(out, OBJ) < fitness(sol, OBJ)
@@ -289,7 +296,7 @@ def test_ls1_never_worsens_and_stays_feasible():
     inst = Instance("i", boxes, list(DEFAULT_CATALOG))
     ptr = TypePointer(DEFAULT_CATALOG)
     sol = initialize(inst, ptr, COST, SORT)
-    out = ls1(sol, SearchParams(seed=8), ptr, random.Random(8), OBJ, COST, SORT)
+    out = ls1(sol, _run(8, ptr, SearchParams(seed=8)))
     assert fitness(out, OBJ) <= fitness(sol, OBJ)
     assert feasible(out)
     assert sorted(out.box_ids()) == sorted(b.id for b in boxes)
@@ -304,7 +311,7 @@ def test_ls2_keeps_good_solution():
     rows = [b + c + (5,) for b, c in zip(boxes, carve)]
     sol = Solution([loaded(T1, rows)])  # 100% fill, zero slack
     ptr = TypePointer(DEFAULT_CATALOG)
-    out, improved = ls2(sol, SearchParams(omega=95), ptr, random.Random(0), OBJ, COST, SORT)
+    out, improved = ls2(sol, _run(0, ptr, SearchParams(omega=95)))
     assert improved is False
     assert out is sol
     assert ptr.index == 0
@@ -316,7 +323,7 @@ def test_ls2_adopts_smaller_type():
     sol = Solution([tu])
     ptr = TypePointer(catalog)
     ptr.index = 1  # as if the incumbent had been built with the big type
-    out, improved = ls2(sol, SearchParams(omega=95, gamma=100), ptr, random.Random(0), OBJ, COST, SORT)
+    out, improved = ls2(sol, _run(0, ptr, SearchParams(omega=95, gamma=100)))
     assert improved is True
     assert [t.tu_type.id for t in out.tus] == ["120x80x130"]
     assert ptr.index == 0
@@ -331,7 +338,7 @@ def test_ls2_lateral_slack_triggers_destruction():
     assert tu2.lateral_slack() == 70
     sol = Solution([tu2])
     ptr = TypePointer([T1, T6])
-    out, improved = ls2(sol, SearchParams(omega=0, gamma=60), ptr, random.Random(0), OBJ, COST, SORT)
+    out, improved = ls2(sol, _run(0, ptr, SearchParams(omega=0, gamma=60)))
     # destroyed and rebuilt with the other type is worse here, so no change
     assert improved is False
 
@@ -350,8 +357,7 @@ def test_ls2_scans_each_type_at_most_once():
     ptr = TypePointer(DEFAULT_CATALOG)
     search_mod.pack_3dbp = spy
     try:
-        ls2(Solution([tu]), SearchParams(omega=5, gamma=10000), ptr,
-            random.Random(0), OBJ, COST, SORT)
+        ls2(Solution([tu]), _run(0, ptr, SearchParams(omega=5, gamma=10000)))
     finally:
         search_mod.pack_3dbp = orig
     assert len(calls) == len(set(calls))
@@ -442,6 +448,20 @@ def test_stats_count_and_gain_each_accepted_step(monkeypatch):
             stats.initial_fitness - stats.final_fitness)
 
 
+def test_trace_never_steers_the_search():
+    """The same solve writes the same solution whether the caller keeps its
+    trace, keeps it in stats that already hold another solve's trace, or
+    passes none, on instances where both ls1 and ls2 accept steps."""
+    for volume, weight, seed in ((2, 500, 4), (3, 900, 5)):
+        inst, _ = make_instance(volume, weight, scheme=2, seed=seed)
+        params = SearchParams(seed=seed, omega=95)
+        kept = SolveStats()
+        texts = [dump_solution(solve(inst, search=params, stats=stats), inst.name, inst.objective)
+                 for stats in (kept, None, kept)]
+        assert kept.improvements("ls1") > 0 and kept.improvements("ls2") > 0
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
 def test_solve_scheme3_single_type_reaches_lower_bound():
     # three 120x120x130 TUs carved into identical boxes: the high-omega run
     # must rediscover the original type and count
@@ -524,7 +544,7 @@ def test_capped_rebuild_makes_the_uncapped_decision(rows, data):
         for incumbent in incumbents:
             kept, freed, budget = _destroy(sol, victims, objective, incumbent)
             assert freed == released
-            got = _rebuild(kept, freed, tut, COST, SORT, objective, budget)
+            got = _rebuild(kept, freed, tut, _run(objective=objective), budget)
             if ref is not None and fitness(ref, objective) < incumbent:
                 assert got is not None
             if got is not None:
