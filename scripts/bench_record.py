@@ -19,8 +19,11 @@ metric; and the Python and numpy versions and core count of the runs.
 For each end-to-end metric it adds both sides' medians and quartiles, the
 pairs the change won (ties count for neither, "better" as ``BENCHMARK.json``
 says) and whether the change's median is worse than the parent's by more
-than the metric's bound; for each per-layer metric, both sides' medians. The file is rewritten after every run, so an
-interrupted comparison keeps what it measured.
+than the metric's bound; for each per-layer metric, both sides' medians.
+Its ``checks`` say whether every run of both sides, traced or not, wrote
+the same solutions (one fingerprint) and how many runs of each side had a
+failed operation. The file is rewritten after every run, so an interrupted
+comparison keeps what it measured.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
 
 
 def parse_args(argv=None):
@@ -95,9 +99,20 @@ def pairs_of(checkouts: dict, workload: str, count: int, first_seed: int, second
     """``count`` pairs of runs, alternating which side runs first; both runs
     of a pair share the seed."""
     for i in range(count):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
         yield {"first": order[0], **{side: perfbench(checkouts[side], workload, first_seed + i,
                                                      seconds, trace) for side in order}}
+
+
+def checks(pairs: list[dict]) -> dict:
+    """Both sides' fingerprints, whether all the runs share one, and per
+    side the runs with a failed operation."""
+    prints = {side: sorted({p[side]["fingerprint"] for p in pairs}) for side in SIDES}
+    return {
+        "fingerprints": prints,
+        "fingerprints_match": len(set(prints["parent"] + prints["change"])) == 1,
+        "failed_runs": {side: sum(p[side]["failed"] > 0 for p in pairs) for side in SIDES},
+    }
 
 
 def layer_summary(pairs: list[dict]) -> dict:
@@ -105,7 +120,7 @@ def layer_summary(pairs: list[dict]) -> dict:
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         par, chg = (statistics.median(p[side]["metrics"][name] for p in pairs)
-                    for side in ("parent", "change"))
+                    for side in SIDES)
         out[name] = {"parent": par, "change": chg,
                      "change_vs_parent_pct": 100.0 * (chg - par) / par if par else None}
     return out
@@ -160,15 +175,14 @@ def main(argv=None) -> int:
                                  for k in ("python", "numpy", "nproc")}
                 entry["pairs"].append({"first": pair["first"], "parent": run_entry(pair["parent"]),
                                        "change": run_entry(pair["change"])})
-                entry["fingerprints"] = {
-                    side: sorted({p[side]["fingerprint"] for p in entry["pairs"]})
-                    for side in ("parent", "change")}
+                entry["checks"] = checks(entry["pairs"])
                 entry["summary"] = summarize(entry["pairs"], spec)
                 write(out, bench)
             for pair in pairs_of(sides, workload, int(count or 10), args.first_seed,
                                  args.seconds, 1):
                 entry["traced_pairs"].append({"first": pair["first"], "parent": run_entry(
                     pair["parent"]), "change": run_entry(pair["change"])})
+                entry["checks"] = checks(entry["pairs"] + entry["traced_pairs"])
                 entry["traced_summary"] = layer_summary(entry["traced_pairs"])
                 write(out, bench)
     return 0

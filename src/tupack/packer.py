@@ -43,6 +43,12 @@ class ExtremePoint(NamedTuple):
     rz: int
 
 
+# The largest pricing constant accepted. With big_n, big_m, big_n*theta and
+# lam at most this, no price term of int64 coordinates (below 2**63) comes
+# near float overflow, so every price is finite and ranks as a number.
+MAX_COST_CONSTANT = 1e12
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Constants of the placement pricing formula.
@@ -62,6 +68,9 @@ class CostParams:
         check_nonnegative(big_n=self.big_n, theta=self.theta, lam=self.lam)
         if not self.big_n > self.big_m > 1:
             raise ValueError("pricing constants must satisfy big_n > big_m > 1")
+        if max(self.big_n, self.big_m, self.big_n * self.theta, self.lam) > MAX_COST_CONSTANT:
+            raise ValueError(f"pricing constants big_n, big_m, big_n*theta and lam must be at "
+                             f"most {MAX_COST_CONSTANT:g}")
 
 
 @dataclass(frozen=True)
@@ -438,6 +447,111 @@ def fits_empty(box: BoxSpec, tut: TuType) -> bool:
     )
 
 
+# ---------------------------------------------------------------------------
+# Price floor
+#
+# The modulo term of ``_price`` is never negative, so every candidate that
+# passes ``_room`` costs at least
+#     [(N + M)z + x + y - N*theta*(rx + ry)]_EP + [M*h + N*theta*(w + l)]_orientation - nbox,
+# and a TU's floor is the least EP part over the EPs whose residuals reach the
+# box's smallest extent on every axis, plus the least orientation part.
+
+def _ep_part(eps: np.ndarray, cp: CostParams) -> np.ndarray:
+    """Per EP (rows of ``eps``), the part of every price there that depends
+    on the EP alone."""
+    x, y, z, rx, ry, _ = eps.T
+    return (cp.big_n + cp.big_m) * z + x + y - cp.big_n * cp.theta * (rx + ry)
+
+
+def _box_part(ext: np.ndarray, cp: CostParams) -> float:
+    """The least part of a price that depends on the orientation alone, over
+    the orientations (rows of ``ext``)."""
+    w, l, h = ext.T
+    return float((cp.big_m * h + cp.big_n * cp.theta * (w + l)).min())
+
+
+@lru_cache(maxsize=64)
+def _slack(tut: TuType, cp: CostParams) -> float:
+    """How far float rounding may lift a computed floor above a computed
+    price in a TU of this type. Every partial sum of either is at most
+    ``size`` (nbox is at most the TU volume in cm3); when the constants are
+    whole numbers and ``size`` is below 2**53 both are exact, else each is
+    within 2**-48 * size of its exact value."""
+    nt = cp.big_n * cp.theta
+    size = (2 * (cp.big_n + cp.big_m) * tut.z + (1 + 2 * nt + cp.lam) * (tut.x + tut.y)
+            + tut.x * tut.y * tut.z)
+    whole = all(float(c).is_integer() for c in (cp.big_n, cp.big_m, nt, cp.lam))
+    return 0.0 if whole and size < 2**53 else size * 2.0**-40
+
+
+class _TuMemo:
+    """``pack_3dbp``'s memo of one TU, valid until a box is placed in it:
+    the ``best_spot`` answer per box shape, and the EP part of the floor."""
+
+    __slots__ = ("spots", "ep_part")
+
+    def __init__(self):
+        self.spots: dict = {}
+        self.ep_part: np.ndarray | None = None
+
+
+def _cheapest(tus: list[LoadedTu], memos: list[_TuMemo], box: BoxSpec, cp: CostParams):
+    """The box's cheapest spot over the open TUs as (cost, TU index, EP
+    index, orientation), ties to the lowest TU index; None when none has one.
+
+    A TU's ``best_spot`` answer depends on the box only through its shape
+    (extents, rotation flags, stackability), so memoized answers are read
+    first. ``best_spot`` then runs on the other TUs in order of their price
+    floors, and a TU is skipped when its (floor less ``_slack``, TU index)
+    is above the best (cost, TU index) so far, which it then can never beat.
+    A TU with no EP that reaches the box's smallest extents gets None
+    without a call. The weight check stays per box.
+    """
+    shape = (box.width, box.length, box.height, box.txz, box.tyz, box.stackable)
+    best, missing = None, []
+    for ti, tu in enumerate(tus):
+        if tu.total_weight + box.weight > tu.tu_type.q:
+            continue
+        spots = memos[ti].spots
+        if shape not in spots:
+            missing.append(ti)
+        elif (spot := spots[shape]) is not None and (best is None or spot[0] < best[0]):
+            best = (spot[0], ti, spot[1], spot[2])
+    if best is None and len(missing) == 1:
+        order = [(None, missing[0])]
+    else:
+        ext = _extents(box)
+        low, box_part = ext.min(axis=0), _box_part(ext, cp)
+        order = []
+        for ti in missing:
+            floor = _floor(tus[ti], memos[ti], low, box_part, cp)
+            if floor is None:
+                memos[ti].spots[shape] = None
+            else:
+                order.append((floor, ti))
+        order.sort()
+    for floor, ti in order:
+        if best is not None and (floor, ti) > best[:2]:
+            continue
+        spot = memos[ti].spots[shape] = best_spot(tus[ti], box, cp)
+        if spot is not None and (best is None or (spot[0], ti) < best[:2]):
+            best = (spot[0], ti, spot[1], spot[2])
+    return best
+
+
+def _floor(tu: LoadedTu, memo: _TuMemo, low: np.ndarray, box_part: float, cp: CostParams):
+    """The TU's price floor for a box of smallest extents ``low`` (per axis)
+    and orientation part ``box_part``, less ``_slack``; None when no EP's
+    residuals reach ``low`` on every axis, so that no (EP, orientation)
+    passes ``_room``. Fills in the memo's EP part."""
+    if memo.ep_part is None:
+        memo.ep_part = _ep_part(tu.eps, cp)
+    parts = memo.ep_part[(tu.eps[:, 3:] >= low).all(axis=1)]
+    if not len(parts):
+        return None
+    return float(parts.min()) + box_part - tu.nbox - _slack(tu.tu_type, cp)
+
+
 def pack_3dbp(
     tut: TuType,
     boxes: list[BoxSpec],
@@ -449,23 +563,19 @@ def pack_3dbp(
     """Sorted constructive insertion into TUs of a single type.
 
     Each box lands at the feasible (TU, EP, orientation) triple of minimum
-    price across all open TUs; when none exists a new TU is opened with the
-    origin EP and the box placed at its cheapest orientation there. Boxes
-    that cannot fit even an empty TU of this type are reported unplaced.
-    ``open_tus`` lets a caller resume packing into existing TUs; they are
-    mutated in place. Deterministic: no randomness anywhere in this path.
+    price across all open TUs (``_cheapest``); when none exists a new TU is
+    opened with the origin EP and the box placed at its cheapest orientation
+    there. Boxes that cannot fit even an empty TU of this type are reported
+    unplaced. ``open_tus`` lets a caller resume packing into existing TUs;
+    they are mutated in place. Deterministic: no randomness anywhere in this
+    path.
 
     ``max_tus`` caps the TUs this call opens: the pack stops at the first box
     that would need one more, and reports that box and every later one (in
     insertion order) unplaced. Up to that box it is the uncapped pack.
-
-    A TU's ``best_spot`` answer depends on the box only through its shape
-    (extents, rotation flags, stackability), so it is kept per TU and shape
-    and reused until a box is placed in that TU. The weight check stays per
-    box.
     """
     tus: list[LoadedTu] = list(open_tus) if open_tus else []
-    spots: list[dict] = [{} for _ in tus]
+    memos = [_TuMemo() for _ in tus]
     unplaced: list[BoxSpec] = []
     limit = len(tus) + max_tus if max_tus is not None else None
     order = sort_boxes(boxes, tut, sp)
@@ -473,31 +583,18 @@ def pack_3dbp(
         if not fits_empty(box, tut):
             unplaced.append(box)
             continue
-        shape = (box.width, box.length, box.height, box.txz, box.tyz, box.stackable)
-        best = None
-        for ti, tu in enumerate(tus):
-            if tu.total_weight + box.weight > tu.tu_type.q:
-                continue
-            memo = spots[ti]
-            if shape not in memo:
-                memo[shape] = best_spot(tu, box, cp)
-            spot = memo[shape]
-            if spot is None:
-                continue
-            cost, ep_idx, ob = spot
-            if best is None or cost < best[0]:
-                best = (cost, ti, ep_idx, ob)
+        best = _cheapest(tus, memos, box, cp)
         if best is None:
             if len(tus) == limit:
                 unplaced.extend(order[i:])
                 break
             tu = fresh_tu(tut)
             tus.append(tu)
-            spots.append({})
+            memos.append(_TuMemo())
             _, ep_idx, ob = best_spot(tu, box, cp)
         else:
             _, ti, ep_idx, ob = best
             tu = tus[ti]
-            spots[ti].clear()
+            memos[ti] = _TuMemo()
         place_box(tu, box, ob, tu.eps[ep_idx])
     return PackResult(tus, unplaced)

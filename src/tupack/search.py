@@ -182,11 +182,16 @@ def _top_layer(tu: LoadedTu) -> list[int]:
 def _relocate(
     sol: Solution, origin: int, dest: int, pick: int, cost: CostParams
 ) -> Solution | None:
-    """Move one top-layer box between TUs; None when it cannot land."""
+    """Move one top-layer box between TUs; None when it cannot land.
+
+    The box lands before the origin is re-seeded: the two are different TUs,
+    so the order changes nothing, and a box that cannot land costs no
+    re-seed."""
     cand = sol.clone()
     src, dst = cand.tus[origin], cand.tus[dest]
-    if place_best(dst, remove_box(src, pick).box, cost) is None:
+    if place_best(dst, src.placements[pick].box, cost) is None:
         return None
+    remove_box(src, pick)
     if not src.placements:
         cand.tus.pop(origin)
     return cand

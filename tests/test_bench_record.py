@@ -65,3 +65,27 @@ def test_a_single_pair_gives_equal_quartiles():
     assert out["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert out["parent_iqr"] == 0.0
     assert out["change_vs_parent_pct"] == pytest.approx(-25.0)
+
+
+def _runs(*sides):
+    """One pair per ((parent fingerprint, failed), (change fingerprint, failed))."""
+    return [{side: {"fingerprint": fp, "failed": failed}
+             for side, (fp, failed) in zip(("parent", "change"), pair)} for pair in sides]
+
+
+def test_checks_flag_a_fingerprint_mismatch_and_count_failed_runs():
+    same = bench_record.checks(_runs((("a", 0), ("a", 0)), (("a", 0), ("a", 0))))
+    assert same == {"fingerprints": {"parent": ["a"], "change": ["a"]},
+                    "fingerprints_match": True, "failed_runs": {"parent": 0, "change": 0}}
+    other = bench_record.checks(_runs((("a", 0), ("a", 2)), (("a", 0), ("b", 1))))
+    assert other["fingerprints"] == {"parent": ["a"], "change": ["a", "b"]}
+    assert other["fingerprints_match"] is False
+    assert other["failed_runs"] == {"parent": 0, "change": 2}
+
+
+def test_checks_need_one_fingerprint_on_both_sides():
+    # each side repeats itself, but the sides differ; or a side changes between runs
+    assert not bench_record.checks(_runs((("a", 0), ("b", 0))))["fingerprints_match"]
+    drifting = bench_record.checks(_runs((("a", 0), ("a", 0)), (("b", 3), ("a", 0))))
+    assert drifting["fingerprints_match"] is False
+    assert drifting["failed_runs"] == {"parent": 1, "change": 0}

@@ -425,6 +425,9 @@ _MALFORMED = {
     "NaN cost-theta": _solve_with("--cost-theta", "nan"),
     "NaN cost-lambda": _solve_with("--cost-lambda", "nan"),
     "infinite cost-n": _solve_with("--cost-n", "inf"),
+    "huge finite cost-n and cost-m": _solve_with("--cost-n", "1e308", "--cost-m", "1e307"),
+    "huge finite cost-lambda": _solve_with("--cost-lambda", "1e308"),
+    "huge finite cost-theta": _solve_with("--cost-theta", "1e300"),
     "infinite alpha": _solve_with("--alpha", "inf"),
     "batch without instances": _batch_on_empty_dir,
     "batch gamma in workers": lambda workspace, tmp_path: [

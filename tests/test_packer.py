@@ -16,6 +16,7 @@ from tupack.geometry import (
     validate_tu,
 )
 from tupack.packer import (
+    DEFAULT_COST,
     CostParams,
     ExtremePoint,
     SortParams,
@@ -31,6 +32,7 @@ from tupack.packer import (
     remove_box,
     sort_boxes,
 )
+from tupack.packer import _box_part, _extents, _floor, _price, _room, _TuMemo
 
 from conftest import EURO_PALLET, WORKED_EXAMPLE_EPS, ep_list
 
@@ -469,22 +471,23 @@ def _ref_eps(tu, points):
     return out
 
 
-def _pack_without_memo(tut, boxes, open_tus=(), after_place=None):
-    """pack_3dbp's rule spelled out: every box asks best_spot of every open TU."""
+def _pack_without_memo(tut, boxes, open_tus=(), after_place=None, cp=DEFAULT_COST):
+    """pack_3dbp's rule spelled out: every box asks best_spot of every open
+    TU, and the lowest (cost, TU index) wins."""
     tus, unplaced = list(open_tus), []
     for box in sort_boxes(boxes, tut):
         if not fits_empty(box, tut):
             unplaced.append(box)
             continue
         spots = [(s[0], ti, s[1], s[2]) for ti, tu in enumerate(tus)
-                 if (s := best_spot(tu, box)) is not None]
+                 if (s := best_spot(tu, box, cp)) is not None]
         if spots:
             _, ti, ep_idx, ob = min(spots, key=lambda s: (s[0], s[1]))
             tu = tus[ti]
         else:
             tu = fresh_tu(tut)
             tus.append(tu)
-            _, ep_idx, ob = best_spot(tu, box)
+            _, ep_idx, ob = best_spot(tu, box, cp)
         before = [e[:3] for e in ep_list(tu.eps)]
         p = place_box(tu, box, ob, tu.eps[ep_idx])
         if after_place is not None:
@@ -634,6 +637,85 @@ def test_pack_3dbp_equals_pack_without_memo():
         resumed = pack_3dbp(T_120_80_160, more, open_tus=[tu.clone() for tu in got.tus])
         tus, _ = _pack_without_memo(T_120_80_160, more, open_tus=[tu.clone() for tu in tus])
         assert _layout(resumed.tus) == _layout(tus)
+
+
+# Pricing constants: whole numbers (prices exact; small ones with theta and
+# lam at 0 make cost ties between TUs common) or not, theta and lam down to
+# 0, and big_m up against big_n.
+_constant = st.one_of(st.integers(3, 12), st.integers(3, 10**6), st.floats(3.0, 1e6)).map(float)
+
+
+@st.composite
+def _cost_params(draw):
+    big_n = draw(_constant)
+    big_m = draw(st.one_of(st.floats(1.0, big_n, exclude_min=True, exclude_max=True),
+                           st.just(big_n - 1.0), st.just(float(int(big_n) // 2 + 1))))
+    theta = draw(st.one_of(st.sampled_from([0.0, 0.01, 0.5, 1.0]), st.floats(0.0, 2.0)))
+    lam = draw(st.one_of(st.sampled_from([0.0, 1.0, 3.0]), st.floats(0.0, 10.0)))
+    return CostParams(big_n, big_m, theta, lam)
+
+
+# A low-capacity TU small against the test boxes, so packs keep many TUs open.
+T_SMALL = TuType("90x70x80", 90, 70, 80, 600)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(cp=_cost_params(), seed=st.integers(0, 2**16))
+def test_floor_skip_keeps_the_pack(cp, seed):
+    """pack_3dbp, which skips best_spot calls on price floors, packs exactly
+    like the reference that asks every TU, for any pricing constants: fresh,
+    resumed into open TUs, and capped one TU short."""
+    rng = random.Random(seed)
+    boxes = _random_boxes(rng, 30)
+    got = pack_3dbp(T_SMALL, boxes, cp)
+    tus, unplaced = _pack_without_memo(T_SMALL, boxes, cp=cp)
+    assert _layout(got.tus) == _layout(tus) and got.unplaced == unplaced == []
+    assert [ep_list(tu.eps) for tu in got.tus] == [ep_list(tu.eps) for tu in tus]
+    more = [replace(b, id="m" + b.id) for b in _random_boxes(rng, 20)]
+    resumed = pack_3dbp(T_SMALL, more, cp, open_tus=[tu.clone() for tu in tus])
+    ref, _ = _pack_without_memo(T_SMALL, more, open_tus=[tu.clone() for tu in tus], cp=cp)
+    assert _layout(resumed.tus) == _layout(ref)
+    capped = pack_3dbp(T_SMALL, boxes, cp, max_tus=len(tus) - 1)
+    placed = sum(tu.nbox for tu in capped.tus)
+    assert capped.unplaced == sort_boxes(boxes, T_SMALL)[placed:]
+    assert _layout(capped.tus) == [lay[:len(mine)] for mine, lay in
+                                   zip(_layout(capped.tus), _layout(tus))]
+
+
+def test_cost_ties_between_tus_go_to_the_lowest_index():
+    """With constants 3 and 2 and no slack or modulo term every price is a
+    small whole number, so two TUs often offer the same cost; the floor skip
+    must still hand each tie to the lowest TU index, as the reference does."""
+    cp = CostParams(3.0, 2.0, 0.0, 0.0)
+    for seed in range(100):
+        boxes = _random_boxes(random.Random(seed), 30)
+        tus, _ = _pack_without_memo(T_SMALL, boxes, cp=cp)
+        assert _layout(pack_3dbp(T_SMALL, boxes, cp).tus) == _layout(tus)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(cp=_cost_params(), seed=st.integers(0, 2**16))
+def test_floor_is_below_every_room_passing_price(cp, seed):
+    """A TU's floor (less its rounding slack) is at most the price of every
+    (EP, orientation) that passes the residual test, priced as best_spot
+    prices it; and when no EP reaches the box's smallest extents, none
+    passes and best_spot finds no spot. Fresh TUs are included: with lam = 0
+    the origin's price can equal the floor."""
+    rng = random.Random(seed)
+    states = [fresh_tu(T_SMALL)]
+    _pack_without_memo(T_SMALL, _random_boxes(rng, 20), cp=cp,
+                       after_place=lambda tu, before, p: states.append(tu.clone()))
+    for tu in states:
+        for box in _random_boxes(rng, 3):
+            ext = _extents(box)
+            floor = _floor(tu, _TuMemo(), ext.min(axis=0), _box_part(ext, cp), cp)
+            cols, ocols = tu.eps.T[:, None], ext.T[:, :, None]
+            room = _room(cols, ocols)
+            if floor is None:
+                assert not room.any()
+                assert best_spot(tu, box, cp) is None
+            else:
+                assert (floor <= _price(cols, ocols, tu.nbox, cp)[room]).all()
 
 
 def test_pack_3dbp_max_tus_stops_at_the_tu_past_the_cap():
