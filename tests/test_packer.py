@@ -683,8 +683,8 @@ def test_floor_skip_keeps_the_pack(cp, seed):
 
 
 def test_cost_ties_between_tus_go_to_the_lowest_index():
-    """With constants 3 and 2 and no slack or modulo term every price is a
-    small whole number, so two TUs often offer the same cost; the floor skip
+    """With big_n 3, big_m 2 and theta and lam at 0 every price is a small
+    whole number, so two TUs often offer the same cost; the floor skip
     must still hand each tie to the lowest TU index, as the reference does."""
     cp = CostParams(3.0, 2.0, 0.0, 0.0)
     for seed in range(100):
