@@ -26,7 +26,7 @@ from .generator import (
 )
 from .geometry import ObjectiveParams
 from .lowerbound import DemandPoint
-from .packer import CostParams, SortParams
+from .packer import DEFAULT_COST, DEFAULT_SORT, CostParams, SortParams
 from .reports import (
     compare,
     format_row,
@@ -53,19 +53,23 @@ def _read_input(read, path):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
+    cost, sort, search = DEFAULT_COST, DEFAULT_SORT, SearchParams()
     p.add_argument("--alpha", type=float, default=None, help="CG term weight")
     p.add_argument("--beta", type=float, default=None, help="fixed cost per TU (liters)")
     p.add_argument("--theta", type=float, default=None, help="CG term offset")
-    p.add_argument("--omega", type=float, default=95.0, help="fill-rate destruction threshold (%%)")
-    p.add_argument("--gamma", type=int, default=100, help="lateral-slack destruction threshold (cm)")
-    p.add_argument("--micro-repeats", type=int, default=3, help="retries per move step")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--sort-n", type=int, default=4, help="weight cluster count")
-    p.add_argument("--sort-m", type=int, default=4, help="base-area cluster count")
-    p.add_argument("--cost-n", type=float, default=10_000.0, help="EP level constant")
-    p.add_argument("--cost-m", type=float, default=1_000.0, help="box top constant")
-    p.add_argument("--cost-theta", type=float, default=0.01, help="residual slack weight")
-    p.add_argument("--cost-lambda", type=float, default=1.0, help="modulo partition weight")
+    p.add_argument("--omega", type=float, default=search.omega,
+                   help="fill-rate destruction threshold (%%)")
+    p.add_argument("--gamma", type=int, default=search.gamma,
+                   help="lateral-slack destruction threshold (cm)")
+    p.add_argument("--micro-repeats", type=int, default=search.micro_repeats,
+                   help="retries per move step")
+    p.add_argument("--seed", type=int, default=search.seed, help="random seed")
+    p.add_argument("--sort-n", type=int, default=sort.n, help="weight cluster count")
+    p.add_argument("--sort-m", type=int, default=sort.m, help="base-area cluster count")
+    p.add_argument("--cost-n", type=float, default=cost.big_n, help="EP level constant")
+    p.add_argument("--cost-m", type=float, default=cost.big_m, help="box top constant")
+    p.add_argument("--cost-theta", type=float, default=cost.theta, help="residual slack weight")
+    p.add_argument("--cost-lambda", type=float, default=cost.lam, help="modulo partition weight")
 
 
 def _params(args, inst):
@@ -197,8 +201,10 @@ def cmd_batch(args) -> int:
     ]
     rows = []
     failures = 0
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts every worker at once, so it gets no more than the tasks
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_one, tasks))
     else:
         results = [_batch_one(t) for t in tasks]

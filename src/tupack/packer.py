@@ -123,13 +123,10 @@ def sort_boxes(boxes: list[BoxSpec], tut: TuType, sp: SortParams = DEFAULT_SORT)
         bj = min(max(bj, 1), sp.m)
         buckets.setdefault((wi, bj), []).append((o.h, box))
     ordered: list[BoxSpec] = []
-    for i in range(sp.n, 0, -1):
-        for j in range(sp.m, 0, -1):
-            group = buckets.get((i, j))
-            if not group:
-                continue
-            group.sort(key=lambda t: -t[0])  # stable: input order breaks height ties
-            ordered.extend(box for _, box in group)
+    for key in sorted(buckets, reverse=True):
+        group = buckets[key]
+        group.sort(key=lambda t: -t[0])  # stable: input order breaks height ties
+        ordered.extend(box for _, box in group)
     return ordered
 
 
@@ -323,18 +320,26 @@ def _fits(tu: LoadedTu, anchors: np.ndarray, ext: np.ndarray, stackable: bool) -
     return ~(apart[0] & apart[1] & bad).any(axis=1)
 
 
-def _price(ep, ext, nbox: int, cp: CostParams):
-    """The pricing formula. ``ep`` unpacks to (x, y, z, rx, ry, rz) and
-    ``ext`` to (w, l, h), as scalars or broadcastable arrays."""
-    x, y, z, rx, ry, rz = ep
+def _ep_part(ep, cp: CostParams):
+    """The part of a price that depends on the EP alone."""
+    x, y, z, rx, ry, _ = ep
+    return (cp.big_n + cp.big_m) * z + x + y - cp.big_n * cp.theta * (rx + ry)
+
+
+def _box_part(ext, cp: CostParams):
+    """The part of a price that depends on the orientation alone."""
     w, l, h = ext
-    return (
-        cp.big_n * z + x + y
-        + cp.big_m * (z + h)
-        - cp.big_n * cp.theta * ((rx - w) + (ry - l))
-        + cp.lam * ((rx % w) + (ry % l))
-        - nbox
-    )
+    return cp.big_m * h + cp.big_n * cp.theta * (w + l)
+
+
+def _price(ep, ext, nbox: int, cp: CostParams):
+    """The pricing formula: the EP part, plus the orientation part, plus the
+    modulo term, less nbox, summed in that order (``_floor`` relies on it).
+    ``ep`` unpacks to (x, y, z, rx, ry, rz) and ``ext`` to (w, l, h), as
+    scalars or broadcastable arrays."""
+    _, _, _, rx, ry, _ = ep
+    w, l, _ = ext
+    return (_ep_part(ep, cp) + _box_part(ext, cp)) + cp.lam * ((rx % w) + (ry % l)) - nbox
 
 
 def can_fit(tu: LoadedTu, ep, ob: Orientation, box: BoxSpec | None = None) -> bool:
@@ -450,43 +455,17 @@ def fits_empty(box: BoxSpec, tut: TuType) -> bool:
 # ---------------------------------------------------------------------------
 # Price floor
 #
-# The modulo term of ``_price`` is never negative, so every candidate that
-# passes ``_room`` costs at least
-#     [(N + M)z + x + y - N*theta*(rx + ry)]_EP + [M*h + N*theta*(w + l)]_orientation - nbox,
-# and a TU's floor is the least EP part over the EPs whose residuals reach the
-# box's smallest extent on every axis, plus the least orientation part.
-
-def _ep_part(eps: np.ndarray, cp: CostParams) -> np.ndarray:
-    """Per EP (rows of ``eps``), the part of every price there that depends
-    on the EP alone."""
-    x, y, z, rx, ry, _ = eps.T
-    return (cp.big_n + cp.big_m) * z + x + y - cp.big_n * cp.theta * (rx + ry)
-
-
-def _box_part(ext: np.ndarray, cp: CostParams) -> float:
-    """The least part of a price that depends on the orientation alone, over
-    the orientations (rows of ``ext``)."""
-    w, l, h = ext.T
-    return float((cp.big_m * h + cp.big_n * cp.theta * (w + l)).min())
-
-
-@lru_cache(maxsize=64)
-def _slack(tut: TuType, cp: CostParams) -> float:
-    """How far float rounding may lift a computed floor above a computed
-    price in a TU of this type. Every partial sum of either is at most
-    ``size`` (nbox is at most the TU volume in cm3); when the constants are
-    whole numbers and ``size`` is below 2**53 both are exact, else each is
-    within 2**-48 * size of its exact value."""
-    nt = cp.big_n * cp.theta
-    size = (2 * (cp.big_n + cp.big_m) * tut.z + (1 + 2 * nt + cp.lam) * (tut.x + tut.y)
-            + tut.x * tut.y * tut.z)
-    whole = all(float(c).is_integer() for c in (cp.big_n, cp.big_m, nt, cp.lam))
-    return 0.0 if whole and size < 2**53 else size * 2.0**-40
-
+# ``_price`` is (EP part + orientation part) + modulo term - nbox, and the
+# modulo term is never negative. Float rounding to nearest is monotone, so
+# (least EP part + least orientation part) - nbox, computed with the same
+# parts in the same order, is at most the computed price of every (EP,
+# orientation) that passes ``_room``, bit for bit. A TU's floor takes the
+# least EP part over the EPs whose residuals reach the box's smallest extent
+# on every axis.
 
 class _TuMemo:
     """``pack_3dbp``'s memo of one TU, valid until a box is placed in it:
-    the ``best_spot`` answer per box shape, and the EP part of the floor."""
+    the ``best_spot`` answer per box shape, and the EP parts of its prices."""
 
     __slots__ = ("spots", "ep_part")
 
@@ -502,8 +481,8 @@ def _cheapest(tus: list[LoadedTu], memos: list[_TuMemo], box: BoxSpec, cp: CostP
     A TU's ``best_spot`` answer depends on the box only through its shape
     (extents, rotation flags, stackability), so memoized answers are read
     first. ``best_spot`` then runs on the other TUs in order of their price
-    floors, and a TU is skipped when its (floor less ``_slack``, TU index)
-    is above the best (cost, TU index) so far, which it then can never beat.
+    floors, and a TU is skipped when its (floor, TU index) is above the
+    best (cost, TU index) so far, which it then can never beat.
     A TU with no EP that reaches the box's smallest extents gets None
     without a call. The weight check stays per box.
     """
@@ -521,7 +500,7 @@ def _cheapest(tus: list[LoadedTu], memos: list[_TuMemo], box: BoxSpec, cp: CostP
         order = [(None, missing[0])]
     else:
         ext = _extents(box)
-        low, box_part = ext.min(axis=0), _box_part(ext, cp)
+        low, box_part = ext.min(axis=0), float(_box_part(ext.T, cp).min())
         order = []
         for ti in missing:
             floor = _floor(tus[ti], memos[ti], low, box_part, cp)
@@ -541,15 +520,15 @@ def _cheapest(tus: list[LoadedTu], memos: list[_TuMemo], box: BoxSpec, cp: CostP
 
 def _floor(tu: LoadedTu, memo: _TuMemo, low: np.ndarray, box_part: float, cp: CostParams):
     """The TU's price floor for a box of smallest extents ``low`` (per axis)
-    and orientation part ``box_part``, less ``_slack``; None when no EP's
-    residuals reach ``low`` on every axis, so that no (EP, orientation)
-    passes ``_room``. Fills in the memo's EP part."""
+    and least orientation part ``box_part``; None when no EP's residuals
+    reach ``low`` on every axis, so that no (EP, orientation) passes
+    ``_room``. Fills in the memo's EP parts."""
     if memo.ep_part is None:
-        memo.ep_part = _ep_part(tu.eps, cp)
+        memo.ep_part = _ep_part(tu.eps.T, cp)
     parts = memo.ep_part[(tu.eps[:, 3:] >= low).all(axis=1)]
     if not len(parts):
         return None
-    return float(parts.min()) + box_part - tu.nbox - _slack(tu.tu_type, cp)
+    return float(parts.min()) + box_part - tu.nbox
 
 
 def pack_3dbp(

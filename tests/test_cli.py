@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import tupack
-from tupack.cli import main
+from tupack.cli import _params, build_parser, main
 from tupack.fileio import read_instance, read_solution, write_instance, write_solution
 from tupack.geometry import center_of_gravity
+from tupack.packer import CostParams, SortParams
 from tupack.render import render_tu_svg
+from tupack.search import SearchParams
 
 
 def run_cli(*argv):
@@ -116,6 +118,47 @@ def test_batch_reports(workspace):
     assert len(summary) == 3
     ls = (out / "local_search.csv").read_text().strip().splitlines()
     assert ls[0].startswith("omega,n_improvements_ls1")
+
+
+@pytest.mark.parametrize("names, jobs, pools", [
+    (["gen001_s3"], "64", []),  # one task runs in-process, with no pool
+    (["gen001_s3", "gen002_s3"], "64", [2]),
+])
+def test_batch_starts_no_more_workers_than_tasks(workspace, monkeypatch, names, jobs, pools):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size asked for and maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("tupack.cli.ProcessPoolExecutor", SerialPool)
+    (workspace / "some").mkdir()
+    for name in names:
+        (workspace / "some" / f"{name}.inst.txt").write_bytes(
+            (workspace / "inst" / f"{name}.inst.txt").read_bytes())
+    rc = run_cli("batch", "--instances", workspace / "some", "--out", workspace / "r",
+                 "--omegas", "95", "--jobs", jobs)
+    assert rc == 0
+    assert sizes == pools
+    assert len((workspace / "r" / "per_instance.csv").read_text().splitlines()) == 1 + len(names)
+
+
+def test_bare_solve_parses_to_the_solver_defaults(workspace):
+    inst_path = workspace / "inst" / "gen001_s3.inst.txt"
+    inst = read_instance(inst_path)
+    args = build_parser().parse_args(["solve", str(inst_path)])
+    assert _params(args, inst) == (inst.objective, CostParams(), SortParams(), SearchParams())
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -436,17 +479,32 @@ _MALFORMED = {
 }
 
 
+def _cli_process(argv, timeout):
+    """Run the CLI in a child process that is killed after ``timeout`` s,
+    so a hang fails the test instead of stalling the suite."""
+    src = str(Path(tupack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "tupack.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 @pytest.mark.parametrize("case", list(_MALFORMED))
 def test_malformed_input_exits_2_with_one_error_line(workspace, tmp_path, case):
     argv = [str(a) for a in _MALFORMED[case](workspace, tmp_path)]
     files_before = {p for p in tmp_path.rglob("*") if p.is_file()}
-    src = str(Path(tupack.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "tupack.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _cli_process(argv, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert {p for p in tmp_path.rglob("*") if p.is_file()} == files_before
+
+
+def test_huge_sort_cluster_counts_solve(workspace, tmp_path):
+    """The insertion-order sort visits only the clusters that hold boxes, so
+    1e5 x 1e5 weight and base-area clusters solve like the defaults."""
+    argv = _solve_with("--sort-n", "100000", "--sort-m", "100000")(workspace, tmp_path)
+    proc = _cli_process(argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "x.sol.txt").exists()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from tupack.geometry import (
 )
 from tupack.packer import (
     DEFAULT_COST,
+    MAX_COST_CONSTANT,
     CostParams,
     ExtremePoint,
     SortParams,
@@ -305,6 +307,50 @@ def test_cost_perfect_partition_modulo_term():
     c1 = placement_cost(ep, o1, 0, cp)
     c2 = placement_cost(ep, o2, 0, cp)
     assert c1 - c2 == pytest.approx(mod1 - mod2)
+
+
+# Pricing constants: whole numbers (small ones with theta and lam at 0 make
+# cost ties between TUs common) or not, theta and lam down to 0, big_m up
+# against big_n, and big_n, big_n*theta and lam up to MAX_COST_CONSTANT.
+_constant = st.one_of(st.integers(3, 12), st.integers(3, 10**6), st.floats(3.0, 1e6),
+                      st.floats(3.0, MAX_COST_CONSTANT), st.just(MAX_COST_CONSTANT)).map(float)
+
+
+@st.composite
+def _cost_params(draw):
+    big_n = draw(_constant)
+    big_m = draw(st.one_of(st.floats(1.0, big_n, exclude_min=True, exclude_max=True),
+                           st.just(big_n - 1.0), st.just(float(int(big_n) // 2 + 1))))
+    # the largest theta whose big_n*theta, rounded, is within the cap
+    top = math.nextafter(MAX_COST_CONSTANT / big_n, 0.0)
+    theta = draw(st.one_of(st.sampled_from([0.0, 0.01, 0.5, 1.0]), st.floats(0.0, 2.0),
+                           st.floats(0.0, top)))
+    lam = draw(st.one_of(st.sampled_from([0.0, 1.0, 3.0]), st.floats(0.0, 10.0),
+                         st.floats(0.0, MAX_COST_CONSTANT), st.just(MAX_COST_CONSTANT)))
+    return CostParams(big_n, big_m, min(theta, top), lam)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cp=_cost_params(), seed=st.integers(0, 2**16))
+def test_cost_is_the_expanded_formula(cp, seed):
+    """placement_cost is the README's formula
+    N*z + x + y + M*(z+h) - N*theta*((rx-w)+(ry-l)) + lambda*((rx mod w)+(ry mod l)) - NBOX
+    up to float rounding (the code sums the same terms in another order),
+    for any constants CostParams admits."""
+    rng = random.Random(seed)
+    w, l, h = (rng.randint(1, 60) for _ in range(3))
+    x, y, z = (rng.randint(0, 200) for _ in range(3))
+    rx, ry, rz = rng.randint(w, 250), rng.randint(l, 250), rng.randint(h, 250)
+    nbox = rng.randint(0, 50)
+    n, m, nt = cp.big_n, cp.big_m, cp.big_n * cp.theta
+    terms = (n * z, x, y, m * (z + h), -nt * ((rx - w) + (ry - l)),
+             cp.lam * ((rx % w) + (ry % l)), -nbox)
+    # every product and partial sum on either side is at most ``size``, and
+    # each of their few roundings is within 2**-53 of it
+    size = sum(abs(t) for t in terms) + nt * (w + l)
+    ob = enumerate_orientations(BoxSpec("b", w, l, h, txz=False, tyz=False))[0]
+    got = placement_cost(ExtremePoint(x, y, z, rx, ry, rz), ob, nbox, cp)
+    assert got == pytest.approx(math.fsum(terms), rel=0, abs=size * 1e-14)
 
 
 def test_cost_nbox_preference():
@@ -639,22 +685,6 @@ def test_pack_3dbp_equals_pack_without_memo():
         assert _layout(resumed.tus) == _layout(tus)
 
 
-# Pricing constants: whole numbers (prices exact; small ones with theta and
-# lam at 0 make cost ties between TUs common) or not, theta and lam down to
-# 0, and big_m up against big_n.
-_constant = st.one_of(st.integers(3, 12), st.integers(3, 10**6), st.floats(3.0, 1e6)).map(float)
-
-
-@st.composite
-def _cost_params(draw):
-    big_n = draw(_constant)
-    big_m = draw(st.one_of(st.floats(1.0, big_n, exclude_min=True, exclude_max=True),
-                           st.just(big_n - 1.0), st.just(float(int(big_n) // 2 + 1))))
-    theta = draw(st.one_of(st.sampled_from([0.0, 0.01, 0.5, 1.0]), st.floats(0.0, 2.0)))
-    lam = draw(st.one_of(st.sampled_from([0.0, 1.0, 3.0]), st.floats(0.0, 10.0)))
-    return CostParams(big_n, big_m, theta, lam)
-
-
 # A low-capacity TU small against the test boxes, so packs keep many TUs open.
 T_SMALL = TuType("90x70x80", 90, 70, 80, 600)
 
@@ -696,11 +726,11 @@ def test_cost_ties_between_tus_go_to_the_lowest_index():
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(cp=_cost_params(), seed=st.integers(0, 2**16))
 def test_floor_is_below_every_room_passing_price(cp, seed):
-    """A TU's floor (less its rounding slack) is at most the price of every
-    (EP, orientation) that passes the residual test, priced as best_spot
-    prices it; and when no EP reaches the box's smallest extents, none
-    passes and best_spot finds no spot. Fresh TUs are included: with lam = 0
-    the origin's price can equal the floor."""
+    """A TU's floor, with no margin for rounding, is at most the price of
+    every (EP, orientation) that passes the residual test, priced as
+    best_spot prices it; and when no EP reaches the box's smallest extents,
+    none passes and best_spot finds no spot. Fresh TUs are included: with
+    lam = 0 the origin's price can equal the floor."""
     rng = random.Random(seed)
     states = [fresh_tu(T_SMALL)]
     _pack_without_memo(T_SMALL, _random_boxes(rng, 20), cp=cp,
@@ -708,7 +738,7 @@ def test_floor_is_below_every_room_passing_price(cp, seed):
     for tu in states:
         for box in _random_boxes(rng, 3):
             ext = _extents(box)
-            floor = _floor(tu, _TuMemo(), ext.min(axis=0), _box_part(ext, cp), cp)
+            floor = _floor(tu, _TuMemo(), ext.min(axis=0), float(_box_part(ext.T, cp).min()), cp)
             cols, ocols = tu.eps.T[:, None], ext.T[:, :, None]
             room = _room(cols, ocols)
             if floor is None:
