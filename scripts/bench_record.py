@@ -18,8 +18,10 @@ the failure count and the fingerprint; per traced pass every per-layer
 metric; and the Python and numpy versions and core count of the runs.
 For each end-to-end metric it adds both sides' medians and quartiles, the
 pairs the change won (ties count for neither, "better" as ``BENCHMARK.json``
-says) and whether the change's median is worse than the parent's by more
-than the metric's bound; for each per-layer metric, both sides' medians.
+says), whether the change's median is worse than the parent's by more
+than the metric's bound, and ``gain_shown``: whether the change won at least
+nine tenths of the pairs and its median beats the parent's by more than the
+parent's interquartile range; for each per-layer metric, both sides' medians.
 Its ``checks`` say whether every run of both sides, traced or not, wrote
 the same solutions (one fingerprint) and how many runs of each side had a
 failed operation. The file is rewritten after every run, so an interrupted
@@ -127,7 +129,8 @@ def layer_summary(pairs: list[dict]) -> dict:
 
 
 def summarize(pairs: list[dict], spec: dict) -> dict:
-    """Per end-to-end metric: medians, quartiles, wins and the bound check."""
+    """Per end-to-end metric: medians, quartiles, wins, the bound check and
+    whether a gain is shown."""
     out = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
@@ -138,15 +141,16 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
         wins = sum((c < q) if lower else (c > q) for q, c in zip(par, chg))
         losses = sum((c > q) if lower else (c < q) for q, c in zip(par, chg))
         ps, cs = quartiles(par), quartiles(chg)
-        base = ps["median"]
+        base, iqr = ps["median"], ps["q3"] - ps["q1"]
         worse = (cs["median"] - base) if lower else (base - cs["median"])
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": ps, "change": cs,
-            "parent_iqr": ps["q3"] - ps["q1"],
+            "parent_iqr": iqr,
             "change_vs_parent_pct": 100.0 * (cs["median"] - base) / base if base else None,
             "wins": wins, "losses": losses, "ties": len(par) - wins - losses,
             "worse_beyond_bound": bool(base and worse / abs(base) > m["bound"]),
+            "gain_shown": 10 * wins >= 9 * len(par) and -worse > iqr,
         }
     return out
 

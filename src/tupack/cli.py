@@ -41,13 +41,14 @@ from .search import SearchParams, SolveStats, solve
 
 
 class InputError(ValueError):
-    """Malformed input (an instance or catalog file, or a flag value) or an
-    out-of-range parameter; exits with code 2."""
+    """Malformed input (an instance or catalog file, the solution file of
+    ``validate``, or a flag value) or an out-of-range parameter; exits with
+    code 2."""
 
 
-def _read_input(read, path):
+def _read_input(read, path, *args):
     try:
-        return read(path)
+        return read(path, *args)
     except FormatError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -161,7 +162,7 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     inst = _read_input(read_instance, args.instance)
-    sol, inst_name, recorded = read_solution(args.solution, inst)
+    sol, inst_name, recorded = _read_input(read_solution, args.solution, inst)
     problems = validate_solution(inst, sol, recorded)
     if inst_name != inst.name:
         problems.insert(0, f"solution names instance {inst_name!r}, file is {inst.name!r}")
@@ -319,10 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command. Exit codes: 0 success; 1 a failed solve (including a
-    solution its validator rejects), an invalid or unreadable solution, or an
-    unreadable file; 2 a malformed instance or catalog, a flag value
-    malformed, non-finite or out of range, or generator input it cannot
-    carve (bounds or a catalog type that does not fit)."""
+    solution its validator rejects), an invalid solution, a solution that
+    ``render`` or ``compare`` cannot read, or an unreadable file; 2 a
+    malformed instance or catalog, a solution file ``validate`` cannot read
+    (such as ``fitness nan``), a flag value malformed, non-finite or out of
+    range, or generator input it cannot carve (bounds or a catalog type that
+    does not fit)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

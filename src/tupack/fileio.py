@@ -158,7 +158,10 @@ def parse_instance(text: str) -> Instance:
                 raise FormatError(f"unknown record {tag!r}")
     if not catalog:
         raise FormatError("instance has no TU types")
-    params = ObjectiveParams(**weights)
+    try:
+        params = ObjectiveParams(**weights)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     lower = None
     if lb_counts:
         unknown = set(lb_counts) - {t.id for t in catalog}
@@ -184,7 +187,9 @@ def dump_solution(sol: Solution, instance_name: str, objective: ObjectiveParams)
 def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
     """Rebuild a solution against its instance.
 
-    Returns (solution, instance name recorded in the file, recorded fitness).
+    Returns (solution, instance name recorded in the file, recorded fitness);
+    the fitness is NaN when the file has no ``fitness`` line, and a fitness
+    that is not a finite number >= 0 is malformed.
     Placement extents are re-derived from the box and orientation code, so a
     solution file cannot smuggle inconsistent geometry.
     """
@@ -200,6 +205,7 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
                 inst_name = toks[1]
             elif tag == "fitness":
                 recorded_fitness = float(toks[1])
+                check_nonnegative(fitness=recorded_fitness)
             elif tag == "placement":
                 ti, type_id, box_id, code = int(toks[1]), toks[2], toks[3], toks[4]
                 x, y, z = int(toks[5]), int(toks[6]), int(toks[7])

@@ -27,6 +27,12 @@ def check_nonnegative(**values: float):
             raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
+# The largest pricing constant or objective weight accepted. With every one
+# at most this, no price of int64 coordinates (below 2**63) and no objective
+# term or rebuild budget comes near float overflow, so each stays finite.
+MAX_COST_CONSTANT = 1e12
+
+
 class BoxUnpackableError(ValueError):
     """Raised when a box fits no transport unit even when empty."""
 
@@ -382,6 +388,9 @@ class ObjectiveParams:
 
     def __post_init__(self):
         check_nonnegative(alpha=self.alpha, theta=self.theta, beta=self.beta)
+        if max(self.alpha, self.theta, self.beta, self.alpha * self.theta) > MAX_COST_CONSTANT:
+            raise ValueError(f"objective weights alpha, theta, beta and alpha*theta must be "
+                             f"at most {MAX_COST_CONSTANT:g}")
 
 
 DEFAULT_OBJECTIVE = ObjectiveParams()

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
+    MAX_COST_CONSTANT,
     BoxSpec,
     LoadedTu,
     Orientation,
@@ -41,12 +42,6 @@ class ExtremePoint(NamedTuple):
     rx: int
     ry: int
     rz: int
-
-
-# The largest pricing constant accepted. With big_n, big_m, big_n*theta and
-# lam at most this, no price term of int64 coordinates (below 2**63) comes
-# near float overflow, so every price is finite and ranks as a number.
-MAX_COST_CONSTANT = 1e12
 
 
 @dataclass(frozen=True)

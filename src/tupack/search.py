@@ -42,13 +42,19 @@ from .packer import (
 )
 
 
+# The most retries per move step accepted. ``move_n1`` draws five candidates
+# per retry, so a count far above this only stalls a solve.
+MAX_MICRO_REPEATS = 1000
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Knobs of the local searches.
 
     ``omega`` is the fill-rate destruction threshold (percent) and ``gamma``
     the lateral-slack threshold (cm) of the second-order search;
-    ``micro_repeats`` is how many times each move step retries.
+    ``micro_repeats`` is how many times each move step retries, from 1 to
+    ``MAX_MICRO_REPEATS``.
     """
 
     omega: float = 95.0
@@ -59,8 +65,8 @@ class SearchParams:
     def __post_init__(self):
         if not 0 <= self.omega <= 100:
             raise ValueError("omega is a percentage")
-        if self.gamma < 0 or self.micro_repeats < 1:
-            raise ValueError("gamma >= 0 and micro_repeats >= 1 required")
+        if self.gamma < 0 or not 1 <= self.micro_repeats <= MAX_MICRO_REPEATS:
+            raise ValueError(f"gamma >= 0 and 1 <= micro_repeats <= {MAX_MICRO_REPEATS} required")
 
 
 class TypePointer:
@@ -127,9 +133,12 @@ class SolveStats:
 @dataclass(frozen=True)
 class Run:
     """What every step of one solve shares: its constants, its one random
-    stream, the type pointer and the trace. A record, not a class with move
-    methods: the moves stay module functions called by name, so a tracer can
-    rebind them."""
+    stream, the type pointer, the trace and the rebuild memo. A record, not a
+    class with move methods: the moves stay module functions called by name,
+    so a tracer can rebind them.
+
+    ``packs`` maps a rebuild's (type, released boxes) to the TUs of its full
+    pack, or to the cap at which its pack was cut (see ``_rebuild``)."""
 
     objective: ObjectiveParams
     cost: CostParams
@@ -138,6 +147,7 @@ class Run:
     rng: random.Random
     pointer: TypePointer
     stats: SolveStats
+    packs: dict = field(default_factory=dict)
 
 
 def initialize(
@@ -241,9 +251,13 @@ def move_n1(sol: Solution, run: Run, incumbent_fitness: float) -> Solution | Non
     the three highest-topped boxes of the origin and lands at the cheapest
     feasible position of the destination. First strictly improving candidate
     wins; None when the schedule finds none.
+
+    ``_relocate`` is deterministic, so a drawn (origin, destination, box)
+    already tried on this incumbent is skipped; the draws stay the same.
     """
     if len(sol.tus) < 2:
         return None
+    tried = set()
     for strategy in range(5):
         for _ in range(run.search.micro_repeats):
             pair = _strategy_pairs(sol, strategy, run.rng)
@@ -253,8 +267,11 @@ def move_n1(sol: Solution, run: Run, incumbent_fitness: float) -> Solution | Non
             pool = _top_layer(sol.tus[origin])[:3]
             if not pool:
                 continue
-            pick = pool[run.rng.randrange(len(pool))]
-            cand = _relocate(sol, origin, dest, pick, run.cost)
+            move = (origin, dest, pool[run.rng.randrange(len(pool))])
+            if move in tried:
+                continue
+            tried.add(move)
+            cand = _relocate(sol, *move, run.cost)
             if cand is not None and fitness(cand, run.objective) < incumbent_fitness:
                 return cand
     return None
@@ -311,6 +328,12 @@ def _rebuild(
     budget. A rebuild that needs more can never beat the incumbent: it is
     refused unpacked when the released boxes' volume or weight already needs
     more, and otherwise the pack stops at the TU past the cap.
+
+    ``pack_3dbp`` is deterministic and a capped pack is the uncapped pack up
+    to the first box past the cap, so each pack is kept in ``run.packs``: a
+    full pack of n TUs answers every later cap (n <= cap reuses copies of its
+    TUs, a tighter cap is cut), and a pack cut at cap c answers every cap
+    <= c. Only a looser cap than a cut one packs again.
     """
     if any(not fits_empty(b, tut) for b in released):
         return None
@@ -321,10 +344,14 @@ def _rebuild(
     weight = sum(b.weight for b in released)
     if cap < max(1, -(-volume // tut.volume_cm3), -(-weight // tut.q)):
         return None
-    result = pack_3dbp(tut, released, run.cost, run.sort, max_tus=cap)
-    if result.unplaced:
+    key = (tut, tuple(released))
+    packed = run.packs.get(key)
+    if packed is None or (isinstance(packed, int) and cap > packed):
+        result = pack_3dbp(tut, released, run.cost, run.sort, max_tus=cap)
+        packed = run.packs[key] = cap if result.unplaced else result.tus
+    if isinstance(packed, int) or len(packed) > cap:
         return None
-    return Solution([tu.clone() for tu in survivors] + result.tus)
+    return Solution([tu.clone() for tu in survivors + packed])
 
 
 def move_n3(sol: Solution, run: Run, incumbent_fitness: float) -> Solution | None:

@@ -67,6 +67,27 @@ def test_a_single_pair_gives_equal_quartiles():
     assert out["change_vs_parent_pct"] == pytest.approx(-25.0)
 
 
+_PARENT = [10.0 + 0.1 * i for i in range(10)]   # median 10.45, IQR 0.45
+
+
+@pytest.mark.parametrize("better, change, shown", [
+    # 9 of 10 pairs won, medians 1.45 apart
+    ("lower", [9.0] * 9 + [11.0], True),
+    # 8 of 10 pairs won, although the medians are as far apart
+    ("lower", [9.0] * 8 + [11.0] * 2, False),
+    # 10 of 10 won, but by 0.05 each: inside the parent's IQR
+    ("lower", [p - 0.05 for p in _PARENT], False),
+    # the same wins count as losses when higher is better
+    ("higher", [9.0] * 9 + [11.0], False),
+    ("higher", [p + 1.0 for p in _PARENT], True),
+])
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(better, change,
+                                                                          shown):
+    out = bench_record.summarize(_pairs(*zip(_PARENT, change)), _spec_of(better))["m"]
+    assert out["parent_iqr"] == pytest.approx(0.45)
+    assert out["gain_shown"] is shown
+
+
 def _runs(*sides):
     """One pair per ((parent fingerprint, failed), (change fingerprint, failed))."""
     return [{side: {"fingerprint": fp, "failed": failed}

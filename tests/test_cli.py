@@ -381,7 +381,7 @@ def test_solve_rejects_duplicate_box_ids(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ("--omega", "120"), ("--gamma", "-1"), ("--micro-repeats", "0"),
-    ("--sort-n", "0"), ("--cost-m", "20000"), ("--alpha", "-1"),
+    ("--micro-repeats", "1001"), ("--sort-n", "0"), ("--cost-m", "20000"), ("--alpha", "-1"),
 ])
 def test_solve_out_of_range_parameter_exits_2(workspace, tmp_path, capsys, flags):
     inst_path = workspace / "inst" / "gen001_s3.inst.txt"
@@ -434,6 +434,18 @@ def _solve_with(*flags):
     return argv
 
 
+def _validate_with_fitness(value):
+    """``validate`` on a copy of a reference solution with its fitness line
+    edited."""
+    def argv(workspace, tmp_path):
+        text = (workspace / "inst" / "gen001_s3.ref.txt").read_text()
+        text, n = re.subn(r"^fitness .*$", f"fitness {value}", text, count=1, flags=re.M)
+        assert n == 1
+        (tmp_path / "bad.sol.txt").write_text(text)
+        return ["validate", workspace / "inst" / "gen001_s3.inst.txt", tmp_path / "bad.sol.txt"]
+    return argv
+
+
 def _batch_on_empty_dir(workspace, tmp_path):
     (tmp_path / "empty").mkdir()
     return ["batch", "--instances", tmp_path / "empty", "--out", tmp_path / "r"]
@@ -472,6 +484,14 @@ _MALFORMED = {
     "huge finite cost-lambda": _solve_with("--cost-lambda", "1e308"),
     "huge finite cost-theta": _solve_with("--cost-theta", "1e300"),
     "infinite alpha": _solve_with("--alpha", "inf"),
+    "overflowing alpha": _solve_with("--alpha", "1e308"),
+    "overflowing beta": _solve_with("--beta", "1e308"),
+    "overflowing theta": _solve_with("--theta", "1e308"),
+    "alpha*theta above the limit": _solve_with("--alpha", "1e7", "--theta", "1e7"),
+    "overflowing alpha line": _edited_instance(r"^alpha .*$", "alpha 1e308"),
+    "micro-repeats far above the limit": _solve_with("--micro-repeats", "100000000"),
+    "NaN solution fitness": _validate_with_fitness("nan"),
+    "negative solution fitness": _validate_with_fitness("-1"),
     "batch without instances": _batch_on_empty_dir,
     "batch gamma in workers": lambda workspace, tmp_path: [
         "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas", "95",

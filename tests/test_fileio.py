@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,6 +182,22 @@ def test_corrupted_file_raises_only_format_error(kind, data):
         _PARSERS[kind]("\n".join(lines) + "\n")
     except FormatError:
         pass
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_fitness_names_its_line(value):
+    lines = _VALID["solution"].splitlines()
+    ln = next(n for n, line in enumerate(lines, 1) if line.startswith("fitness "))
+    lines[ln - 1] = f"fitness {value}"
+    with pytest.raises(FormatError, match=rf"^line {ln}: fitness must be a finite number"):
+        parse_solution("\n".join(lines) + "\n", _INST)
+
+
+def test_solution_without_fitness_line_parses_to_nan():
+    text = "".join(line + "\n" for line in _VALID["solution"].splitlines()
+                   if not line.startswith("fitness "))
+    _, _, recorded = parse_solution(text, _INST)
+    assert math.isnan(recorded)
 
 
 @pytest.mark.parametrize("tag", ["alpha", "beta", "theta"])

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tupack.geometry import (
+    MAX_COST_CONSTANT,
     ORIENTATION_CODES,
     BoxSpec,
     EmptyTuError,
@@ -303,6 +304,19 @@ def test_fitness_lower_bound_with_minimal_cg():
     sol = Solution([tu])
     floor = T_120_80_160.volume_liters + params.beta + params.alpha * params.theta
     assert fitness(sol, params) >= floor
+
+
+@pytest.mark.parametrize("weights", [
+    {"alpha": 1e308}, {"theta": 1e13}, {"beta": 1e308}, {"alpha": 1e7, "theta": 1e7},
+])
+def test_objective_weights_above_the_limit_raise(weights):
+    with pytest.raises(ValueError, match="at most"):
+        ObjectiveParams(**weights)
+
+
+def test_objective_weights_at_the_limit_are_accepted():
+    assert ObjectiveParams(MAX_COST_CONSTANT, 1.0, MAX_COST_CONSTANT).beta == MAX_COST_CONSTANT
+    assert ObjectiveParams(1.0, MAX_COST_CONSTANT, 0.0).theta == MAX_COST_CONSTANT
 
 
 def test_fitness_rejects_empty_tu():

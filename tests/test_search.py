@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -18,8 +19,16 @@ from tupack.geometry import (
     validate_tu,
 )
 from tupack.lowerbound import DemandPoint
-from tupack.packer import CostParams, SortParams, eps_of_layout, fits_empty, pack_3dbp
+from tupack.packer import (
+    CostParams,
+    SortParams,
+    eps_of_layout,
+    fits_empty,
+    pack_3dbp,
+    place_best,
+)
 from tupack.search import (
+    MAX_MICRO_REPEATS,
     Run,
     SearchParams,
     SolveStats,
@@ -154,6 +163,32 @@ def test_n1_relocates_and_improves():
 def test_n1_single_tu_no_move():
     sol = Solution([loaded(T1, [("a", 40, 40, 40, 0, 0, 0, 10)])])
     assert move_n1(sol, _run(0), fitness(sol)) is None
+
+
+def test_n1_never_retries_a_relocation_on_one_incumbent(monkeypatch):
+    """With two TUs every drawn (origin, destination, box) is one of at most
+    2 x 1 x 3 triples, while strategies 1, 3 and 4 draw micro_repeats times
+    each, so 30 draws must repeat; each triple still reaches ``_relocate``
+    only once."""
+    tried = []
+
+    def recording(sol, origin, dest, pick, cost):
+        tried.append((origin, dest, pick))
+        return None
+
+    monkeypatch.setattr("tupack.search._relocate", recording)
+    sol = Solution([
+        loaded(T1, [(f"a{i}", 40, 80, 30, 40 * i, 0, 0, 10) for i in range(3)]),
+        loaded(T1, [(f"b{i}", 60, 80, 30, 60 * i, 0, 0, 10) for i in range(2)]),
+    ])
+    assert move_n1(sol, _run(5, params=SearchParams(micro_repeats=10)), fitness(sol)) is None
+    assert tried and len(tried) == len(set(tried)) <= 6
+
+
+def test_micro_repeats_limit():
+    assert SearchParams(micro_repeats=MAX_MICRO_REPEATS).micro_repeats == MAX_MICRO_REPEATS
+    with pytest.raises(ValueError, match="micro_repeats"):
+        SearchParams(micro_repeats=MAX_MICRO_REPEATS + 1)
 
 
 def test_n1_pool_smaller_than_three():
@@ -372,6 +407,32 @@ def make_instance(volume, weight, scheme, seed=1, name="t"):
     return inst, ref
 
 
+# Digests of the placement lines (all but the float ``fitness`` line) of
+# ``solve`` with search seed 3 on instances generated with seed 11, keyed by
+# (volume m3, weight kg, scheme). A speed-up leaves them as they are; a
+# deliberate behaviour change (a new rebuild budget, a perturbation, another
+# constructive) updates them and says so in CHANGES.md.
+_PINNED = {
+    (1.5, 300, 1): "936113b58f8ebbcd67d1672214c8fc174f6529089f269c2107908af28335d532",
+    (1.5, 300, 2): "13ab52a61cd67d890e614c8e868e48c12fbd6cafa1c6dd2a8f0ccd4c3b7b56e0",
+    (1.5, 300, 3): "718fa0ac3965116be217d77cc3ec0dd7897c7614e71171a69ccf5080f301b69d",
+    (2.8, 1200, 1): "5b9df6b6307e2c9c8a998b80467e6518c93c3b02bae9a27fca1af9e206cd75a2",
+    (2.8, 1200, 2): "c36fadba607ebcedea03a6ee384c7262e7c5ac7ae4eee67367648f96ac97f6ea",
+    (2.8, 1200, 3): "85cf62bbd683c57613aef2636fc47e1110f04902b290210a3f38b7fe421a613a",
+}
+
+
+@pytest.mark.parametrize("volume, weight, scheme", list(_PINNED))
+def test_solve_output_is_pinned(volume, weight, scheme):
+    """``solve`` writes the same placements as the commit that pinned them."""
+    inst, _ = generate_instance(DemandPoint(volume, weight), scheme, name=f"pin{scheme}",
+                                seed=11)
+    sol = solve(inst, search=SearchParams(seed=3))
+    lines = dump_solution(sol, inst.name, inst.objective).splitlines(keepends=True)
+    body = "".join(line for line in lines if not line.startswith("fitness "))
+    assert hashlib.sha256(body.encode()).hexdigest() == _PINNED[volume, weight, scheme]
+
+
 def test_solve_empty_instance():
     inst = Instance("e", [], list(DEFAULT_CATALOG))
     stats = SolveStats()
@@ -541,12 +602,52 @@ def test_capped_rebuild_makes_the_uncapped_decision(rows, data):
         if ref is not None:
             near = fitness(ref, objective)
             incumbents += [near * (1 + 1e-12), near, near * (1 - 1e-12), near * 0.99, near * 0.8]
-        for incumbent in incumbents:
+        # one run serves every incumbent, in both orders, so its rebuild memo
+        # answers equal, looser and tighter caps than the pack it stored
+        run = _run(objective=objective)
+        for incumbent in incumbents + incumbents[::-1]:
             kept, freed, budget = _destroy(sol, victims, objective, incumbent)
             assert freed == released
-            got = _rebuild(kept, freed, tut, _run(objective=objective), budget)
+            got = _rebuild(kept, freed, tut, run, budget)
             if ref is not None and fitness(ref, objective) < incumbent:
                 assert got is not None
             if got is not None:
                 assert (dump_solution(got, inst.name, objective)
                         == dump_solution(ref, inst.name, objective))
+
+
+def test_rebuild_memo_packs_a_key_once_per_cap_and_hands_out_copies(monkeypatch):
+    """Per (type, released boxes), ``_rebuild`` packs once, and again only for
+    a cap looser than one its pack was cut at; every other call is answered
+    from the memo with copies that the candidates may change freely."""
+    caps = []
+
+    def counting(*args, **kwargs):
+        caps.append(kwargs["max_tus"])
+        return pack_3dbp(*args, **kwargs)
+
+    inst, _ = generate_instance(DemandPoint(1.5, 300), 2, name="memo", seed=11)
+    sol = initialize(inst, TypePointer(inst.catalog), COST, SORT)
+    monkeypatch.setattr("tupack.search.pack_3dbp", counting)
+    tut = next(t for t in inst.catalog if t.id == "120x80x160")
+    kept, freed, _ = _destroy(sol, list(range(len(sol.tus))), OBJ, fitness(sol, OBJ))
+    # the full pack needs 2 TUs of this type; volume and weight allow 1
+    assert len(_rebuild_uncapped(kept, freed, tut).tus) == 2
+    per_tu = tut.volume_liters + OBJ.alpha * OBJ.theta + OBJ.beta
+    run = _run()
+
+    def rebuild(cap):
+        return _rebuild(kept, freed, tut, run, (cap + 0.5) * per_tu)
+
+    assert rebuild(1) is None and caps == [1]          # cut at cap 1
+    assert rebuild(1) is None and caps == [1]          # same cap: served
+    first = rebuild(2)                                  # looser cap: packs again
+    assert first is not None and caps == [1, 2]
+    text = dump_solution(first, inst.name, OBJ)
+    assert rebuild(1) is None and caps == [1, 2]        # tighter than the full pack
+    second = rebuild(2)
+    assert caps == [1, 2] and dump_solution(second, inst.name, OBJ) == text
+    assert place_best(first.tus[-1], BoxSpec("extra", 1, 1, 1, 0), COST) is not None
+    assert dump_solution(second, inst.name, OBJ) == text
+    third = rebuild(5)
+    assert caps == [1, 2] and dump_solution(third, inst.name, OBJ) == text
