@@ -407,11 +407,8 @@ def make_instance(volume, weight, scheme, seed=1, name="t"):
     return inst, ref
 
 
-# Digests of the placement lines (all but the float ``fitness`` line) of
-# ``solve`` with search seed 3 on instances generated with seed 11, keyed by
-# (volume m3, weight kg, scheme). A speed-up leaves them as they are; a
-# deliberate behaviour change (a new rebuild budget, a perturbation, another
-# constructive) updates them and says so in CHANGES.md.
+# sha256 of the placement lines of ``solve`` (search seed 3) on instances
+# generated with seed 11, keyed by (volume m3, weight kg, scheme)
 _PINNED = {
     (1.5, 300, 1): "936113b58f8ebbcd67d1672214c8fc174f6529089f269c2107908af28335d532",
     (1.5, 300, 2): "13ab52a61cd67d890e614c8e868e48c12fbd6cafa1c6dd2a8f0ccd4c3b7b56e0",
@@ -424,9 +421,13 @@ _PINNED = {
 
 @pytest.mark.parametrize("volume, weight, scheme", list(_PINNED))
 def test_solve_output_is_pinned(volume, weight, scheme):
-    """``solve`` writes the same placements as the commit that pinned them."""
-    inst, _ = generate_instance(DemandPoint(volume, weight), scheme, name=f"pin{scheme}",
-                                seed=11)
+    """``solve`` writes the same placements as the commit that pinned them.
+
+    The float ``fitness`` line is left out. A speed-up leaves the digests as
+    they are. A deliberate behaviour change (ROADMAP items 1, 4 and 5:
+    certified bounds, volume-first rebuilds with a perturbation, a layer
+    constructive) updates them and says so in CHANGES.md."""
+    inst, _ = make_instance(volume, weight, scheme, seed=11, name=f"pin{scheme}")
     sol = solve(inst, search=SearchParams(seed=3))
     lines = dump_solution(sol, inst.name, inst.objective).splitlines(keepends=True)
     body = "".join(line for line in lines if not line.startswith("fitness "))
@@ -626,7 +627,7 @@ def test_rebuild_memo_packs_a_key_once_per_cap_and_hands_out_copies(monkeypatch)
         caps.append(kwargs["max_tus"])
         return pack_3dbp(*args, **kwargs)
 
-    inst, _ = generate_instance(DemandPoint(1.5, 300), 2, name="memo", seed=11)
+    inst, _ = make_instance(1.5, 300, 2, seed=11, name="memo")
     sol = initialize(inst, TypePointer(inst.catalog), COST, SORT)
     monkeypatch.setattr("tupack.search.pack_3dbp", counting)
     tut = next(t for t in inst.catalog if t.id == "120x80x160")
