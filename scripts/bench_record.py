@@ -24,8 +24,10 @@ nine tenths of the pairs and its median beats the parent's by more than the
 parent's interquartile range; for each per-layer metric, both sides' medians.
 Its ``checks`` say whether every run of both sides, traced or not, wrote
 the same solutions (one fingerprint) and how many runs of each side had a
-failed operation. The file is rewritten after every run, so an interrupted
-comparison keeps what it measured.
+failed operation. ``src_lines`` gives each side's line count of every
+``src/tupack/*.py`` and their total, read from the exported checkouts, so a
+record states a change's size next to its timings. The file is rewritten
+after every run, so an interrupted comparison keeps what it measured.
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
         cwd=checkout, capture_output=True, text=True, check=True)
     record, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
     return {"record": record["record"], **result}
+
+
+def source_lines(checkout: Path) -> dict:
+    """Line count of each ``src/tupack/*.py`` of a checkout, and their total."""
+    files = {p.name: len(p.read_text(encoding="utf-8").splitlines())
+             for p in sorted((checkout / "src" / "tupack").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
 
 
 def run_entry(run: dict) -> dict:
@@ -165,11 +174,13 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0|1",
         "host": {},
+        "src_lines": {},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": export(args.parent, Path(tmp) / "parent"),
                  "change": export(args.change, Path(tmp) / "change")}
+        bench["src_lines"] = {side: source_lines(path) for side, path in sides.items()}
         for item in args.workload:
             workload, _, count = item.partition(":")
             entry = bench["workloads"][workload] = {"pairs": [], "traced_pairs": []}

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .fileio import (
     FormatError,
+    OtherInstanceError,
     read_catalog,
     read_instance,
     read_solution,
@@ -41,16 +42,18 @@ from .search import SearchParams, SolveStats, solve
 
 
 class InputError(ValueError):
-    """Malformed input (an instance or catalog file, the solution file of
-    ``validate``, or a flag value) or an out-of-range parameter; exits with
-    code 2."""
+    """Malformed input (an instance, catalog or solution file, or a flag
+    value) or an out-of-range parameter; exits with code 2."""
 
 
 def _read_input(read, path, *args):
+    """``read(path, *args)``; a malformed file is an ``InputError`` naming
+    it, a solution of another instance an ``OtherInstanceError`` naming it."""
     try:
         return read(path, *args)
     except FormatError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        kind = OtherInstanceError if isinstance(exc, OtherInstanceError) else InputError
+        raise kind(f"{path}: {exc}") from exc
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
@@ -162,10 +165,8 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     inst = _read_input(read_instance, args.instance)
-    sol, inst_name, recorded = _read_input(read_solution, args.solution, inst)
+    sol, _, recorded = _read_input(read_solution, args.solution, inst)
     problems = validate_solution(inst, sol, recorded)
-    if inst_name != inst.name:
-        problems.insert(0, f"solution names instance {inst_name!r}, file is {inst.name!r}")
     if problems:
         for p in problems:
             print(p)
@@ -228,7 +229,7 @@ def cmd_batch(args) -> int:
 
 def cmd_render(args) -> int:
     inst = _read_input(read_instance, args.instance)
-    sol, _, _ = read_solution(args.solution, inst)
+    sol, _, _ = _read_input(read_solution, args.solution, inst)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.solution).stem
@@ -241,14 +242,8 @@ def cmd_render(args) -> int:
 
 def cmd_compare(args) -> int:
     inst = _read_input(read_instance, args.instance)
-    sol_a, name_a, _ = read_solution(args.solution_a, inst)
-    sol_b, name_b, _ = read_solution(args.solution_b, inst)
-    if name_a != name_b or name_a != inst.name:
-        print(
-            f"instance mismatch: {name_a!r} vs {name_b!r} (instance file {inst.name!r})",
-            file=sys.stderr,
-        )
-        return 1
+    sol_a, _, _ = _read_input(read_solution, args.solution_a, inst)
+    sol_b, _, _ = _read_input(read_solution, args.solution_b, inst)
     c = compare(sol_a, sol_b)
     print("metric,A,B")
     print(f"n_tu,{c.n_tu_a},{c.n_tu_b}")
@@ -320,12 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command. Exit codes: 0 success; 1 a failed solve (including a
-    solution its validator rejects), an invalid solution, a solution that
-    ``render`` or ``compare`` cannot read, or an unreadable file; 2 a
-    malformed instance or catalog, a solution file ``validate`` cannot read
-    (such as ``fitness nan``), a flag value malformed, non-finite or out of
-    range, or generator input it cannot carve (bounds or a catalog type that
-    does not fit)."""
+    solution its validator rejects), an invalid solution, a solution of
+    another instance, or an unreadable file; 2 a malformed instance, catalog
+    or solution file (such as ``fitness nan``), a flag value malformed,
+    non-finite or out of range, or generator input it cannot carve (bounds
+    or a catalog type that does not fit)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -45,6 +45,10 @@ class FormatError(ValueError):
     """Malformed instance or solution file."""
 
 
+class OtherInstanceError(FormatError):
+    """A solution file that names another instance than its own, or none."""
+
+
 def _flag(v: bool) -> str:
     return "1" if v else "0"
 
@@ -89,7 +93,8 @@ class _at:
 
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, (IndexError, ValueError)):
-            raise FormatError(f"line {self.ln}: {exc}") from exc
+            raise (kind if issubclass(kind, FormatError) else FormatError)(
+                f"line {self.ln}: {exc}") from exc
 
 
 def _records(text: str, kind: str | None = None):
@@ -122,6 +127,7 @@ def _tutype(toks: list[str], seen: set[str]) -> TuType:
 def parse_instance(text: str) -> Instance:
     name = "unnamed"
     weights: dict[str, float] = {}
+    weight_ln = {"alpha": 0, "theta": 0}
     catalog: list[TuType] = []
     lb_counts: dict[str, int] = {}
     boxes: list[BoxSpec] = []
@@ -133,8 +139,9 @@ def parse_instance(text: str) -> Instance:
             if tag == "name":
                 name = toks[1]
             elif tag in ("alpha", "beta", "theta"):
-                weights[tag] = float(toks[1])
-                check_nonnegative(**{tag: weights[tag]})
+                weights[tag], weight_ln[tag] = float(toks[1]), ln
+                # unread weights count as 0: alpha*theta fails at its later line
+                ObjectiveParams(**{"alpha": 0.0, "theta": 0.0, **weights})
             elif tag == "tutype":
                 catalog.append(_tutype(toks, type_ids))
             elif tag == "lb":
@@ -158,10 +165,9 @@ def parse_instance(text: str) -> Instance:
                 raise FormatError(f"unknown record {tag!r}")
     if not catalog:
         raise FormatError("instance has no TU types")
-    try:
+    # a default alpha or theta can still push alpha*theta above the limit
+    with _at(max(weight_ln["alpha"], weight_ln["theta"])):
         params = ObjectiveParams(**weights)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
     lower = None
     if lb_counts:
         unknown = set(lb_counts) - {t.id for t in catalog}
@@ -189,13 +195,14 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
 
     Returns (solution, instance name recorded in the file, recorded fitness);
     the fitness is NaN when the file has no ``fitness`` line, and a fitness
-    that is not a finite number >= 0 is malformed.
+    that is not a finite number >= 0 is malformed. A file whose first record
+    does not name ``inst`` raises ``OtherInstanceError``.
     Placement extents are re-derived from the box and orientation code, so a
     solution file cannot smuggle inconsistent geometry.
     """
     types = {t.id: t for t in inst.catalog}
     boxes = {b.id: b for b in inst.boxes}
-    inst_name = ""
+    inst_name = None
     recorded_fitness = float("nan")
     tus: dict[int, LoadedTu] = {}
     for ln, toks in _records(text, "solution"):
@@ -203,6 +210,11 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
         with _at(ln):
             if tag == "instance":
                 inst_name = toks[1]
+                if inst_name != inst.name:
+                    raise OtherInstanceError(f"solution of instance {inst_name!r}, "
+                                             f"not {inst.name!r}")
+            elif inst_name is None:
+                raise OtherInstanceError("no 'instance' record before this one")
             elif tag == "fitness":
                 recorded_fitness = float(toks[1])
                 check_nonnegative(fitness=recorded_fitness)
@@ -224,6 +236,8 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
                 tu.add(Placement(box, code, *_extents(box, code), x, y, z))
             else:
                 raise FormatError(f"unknown record {tag!r}")
+    if inst_name is None:
+        raise OtherInstanceError("no 'instance' record")
     placed = {p.box.id for tu in tus.values() for p in tu.placements}
     unplaced = [b.id for b in inst.boxes if b.id not in placed]
     sol = Solution([tus[i] for i in sorted(tus)], unplaced)

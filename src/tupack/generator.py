@@ -284,7 +284,7 @@ def validate_solution(
     """
     problems: list[str] = []
     if (recorded_fitness is not None and not math.isnan(recorded_fitness)
-            and sol.tus and all(tu.placements for tu in sol.tus)):
+            and all(tu.placements for tu in sol.tus)):
         actual = fitness(sol, inst.objective)
         if abs(actual - recorded_fitness) > 1e-6 * max(1.0, abs(actual)):
             problems.append(

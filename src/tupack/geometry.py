@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 
 class EmptyTuError(ValueError):
     """Raised when an operation needs at least one placement in the TU."""
@@ -214,54 +212,32 @@ class Violation:
 
 
 class LoadedTu:
-    """A transport unit with its current load and extreme-point array.
+    """A transport unit with its current load: the TU type, the placements
+    in loading order and their total weight. Pure data; the packer's
+    ``PackedTu`` adds the state its kernels need."""
 
-    The EP array (int64, one ``(x, y, z, rx, ry, rz)`` row per EP) is owned by
-    the constructive packer; it is stored here so the local searches can keep
-    packing into a TU without rebuilding state. A cached numpy view of the
-    placement geometry backs the packer's vectorized checks. Both are
-    replaced, never edited in place, so clones share them safely.
-    """
+    __slots__ = ("tu_type", "placements", "total_weight")
 
-    __slots__ = ("tu_type", "placements", "eps", "total_weight", "_geom")
-
-    def __init__(self, tu_type: TuType, placements=None, eps=None):
+    def __init__(self, tu_type: TuType, placements=()):
         self.tu_type = tu_type
-        self.placements: list[Placement] = list(placements or [])
-        self.eps = np.empty((0, 6), dtype=np.int64) if eps is None else eps
+        self.placements: list[Placement] = list(placements)
         self.total_weight = sum(p.box.weight for p in self.placements)
-        self._geom = None
 
     @property
     def nbox(self) -> int:
         return len(self.placements)
 
     def clone(self) -> "LoadedTu":
-        twin = LoadedTu(self.tu_type, self.placements, self.eps)
-        twin._geom = self._geom
-        return twin
+        return LoadedTu(self.tu_type, self.placements)
 
     def add(self, placement: Placement):
         self.placements.append(placement)
         self.total_weight += placement.box.weight
-        if self._geom is not None:
-            self._geom = tuple(
-                np.concatenate((a, b), axis=-1)
-                for a, b in zip(self._geom, _geometry_of([placement]))
-            )
 
     def remove_at(self, index: int) -> Placement:
         p = self.placements.pop(index)
         self.total_weight -= p.box.weight
-        self._geom = None
         return p
-
-    def geometry(self):
-        """Lower and upper box corners as (3, P) int64 arrays, one row per
-        axis, plus a (P,) non-stackable mask."""
-        if self._geom is None:
-            self._geom = _geometry_of(self.placements)
-        return self._geom
 
     def boxes_volume(self) -> int:
         return sum(p.box.volume for p in self.placements)
@@ -280,15 +256,6 @@ class LoadedTu:
 
     def __repr__(self):
         return f"LoadedTu({self.tu_type.id}, nbox={self.nbox}, weight={self.total_weight})"
-
-
-def _geometry_of(placements: list[Placement]):
-    box = np.array(
-        [(p.x, p.y, p.z, p.w, p.l, p.h) for p in placements], dtype=np.int64
-    ).reshape(-1, 6).T
-    lo = np.ascontiguousarray(box[:3])
-    nonstack = np.array([not p.box.stackable for p in placements], dtype=bool)
-    return lo, lo + box[3:], nonstack
 
 
 def validate_tu(tu: LoadedTu) -> list[Violation]:

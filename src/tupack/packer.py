@@ -88,7 +88,7 @@ DEFAULT_SORT = SortParams()
 class PackResult:
     """Outcome of a constructive pack: filled TUs plus boxes that fit nowhere."""
 
-    tus: list[LoadedTu]
+    tus: list[PackedTu]
     unplaced: list[BoxSpec]
 
 
@@ -129,8 +129,8 @@ def sort_boxes(boxes: list[BoxSpec], tut: TuType, sp: SortParams = DEFAULT_SORT)
 # Rays, residuals and EP bookkeeping
 #
 # A TU's EPs are one read-only int64 (E, 6) array of rows (x, y, z, rx, ry,
-# rz). Every change builds a new array, because ``LoadedTu.clone`` shares it.
-# Placements are read from ``LoadedTu.geometry`` as (3, P) lower and upper
+# rz). Every change builds a new array, because ``PackedTu.clone`` shares it.
+# Placements are read from ``PackedTu.corners`` as (3, P) lower and upper
 # corner arrays, one row per axis, so the long box axis is the inner one in
 # every (3, points, boxes) comparison. All spans are half-open, so faces
 # that merely touch neither cover nor block.
@@ -230,9 +230,9 @@ def _frame(tut: TuType) -> np.ndarray:
                             dtype=np.int64))
 
 
-def update_eps(tu: LoadedTu, placed: Placement):
-    """Refresh the EP array after ``place_box`` added ``placed`` as the TU's
-    last placement: the surviving old EPs, then the new box's projection
+def update_eps(tu: PackedTu, placed: Placement):
+    """Refresh the EP array after ``PackedTu.add`` added ``placed`` as the
+    TU's last placement: the surviving old EPs, then the new box's projection
     points, in that order.
 
     Between re-seeds a TU's load only grows, so against the whole load an
@@ -244,7 +244,7 @@ def update_eps(tu: LoadedTu, placed: Placement):
     an earlier one or an old EP point; those on or beyond a wall get no
     room there and die in the measure.
     """
-    lo, hi, _ = tu.geometry()
+    lo, hi, _ = tu.corners
     blo, bhi = lo[:, -1:], hi[:, -1:]
     frame, eps = _frame(tu.tu_type), tu.eps
     covered, cut = _measure(blo, bhi, eps[:, :3], frame[0])
@@ -256,14 +256,14 @@ def update_eps(tu: LoadedTu, placed: Placement):
     tu.eps = _frozen(_eps(rows, np.concatenate((covered, fresh))))
 
 
-def eps_of_layout(tu: LoadedTu) -> np.ndarray:
+def eps_of_layout(tu: PackedTu) -> np.ndarray:
     """The EP array derived from a layout alone, with no construction history:
     the origin, then every box's projection points, all measured against the
     whole load like ``update_eps``'s new points. An empty TU yields the
     single origin EP."""
     if not tu.placements:
         return _origin_eps(tu.tu_type)
-    lo, hi, nonstack = tu.geometry()
+    lo, hi, nonstack = tu.corners
     frame, origin = _frame(tu.tu_type), np.zeros((1, 3), dtype=np.int64)
     cand = _candidate_points(lo, hi, ~nonstack, lo, hi)
     pts = np.concatenate((origin, _unseen(cand, origin, frame)))
@@ -275,9 +275,47 @@ def _origin_eps(tut: TuType) -> np.ndarray:
     return _frozen(np.array([[0, 0, 0, tut.x, tut.y, tut.z]], dtype=np.int64))
 
 
-def fresh_tu(tut: TuType) -> LoadedTu:
-    """An empty TU whose EP array holds only the origin."""
-    return LoadedTu(tut, eps=_origin_eps(tut))
+class PackedTu(LoadedTu):
+    """A TU the packer loads, with the EP array and the ``corners`` of its
+    load, which ``add`` (``update_eps``) and ``remove_at`` (``eps_of_layout``)
+    keep in step. Both are replaced, never edited, so clones share them.
+    ``PackedTu(tut, placements)`` derives its EPs from the layout."""
+
+    __slots__ = ("eps", "corners")
+
+    def __init__(self, tu_type: TuType, placements=()):
+        super().__init__(tu_type, placements)
+        self.corners = _corners(self.placements)
+        self.eps = eps_of_layout(self) if self.placements else _origin_eps(tu_type)
+
+    def clone(self) -> "PackedTu":
+        twin = PackedTu.__new__(PackedTu)
+        twin.tu_type, twin.placements = self.tu_type, list(self.placements)
+        twin.total_weight, twin.eps, twin.corners = self.total_weight, self.eps, self.corners
+        return twin
+
+    def add(self, placement: Placement):
+        super().add(placement)
+        self.corners = tuple(np.concatenate((a, b), axis=-1)
+                             for a, b in zip(self.corners, _corners([placement])))
+        update_eps(self, placement)
+
+    def remove_at(self, index: int) -> Placement:
+        p = super().remove_at(index)
+        self.corners = _corners(self.placements)
+        self.eps = eps_of_layout(self)
+        return p
+
+
+def _corners(placements: list[Placement]):
+    """Lower and upper box corners as (3, P) int64 arrays, one row per axis,
+    plus a (P,) non-stackable mask."""
+    box = np.array(
+        [(p.x, p.y, p.z, p.w, p.l, p.h) for p in placements], dtype=np.int64
+    ).reshape(-1, 6).T
+    lo = np.ascontiguousarray(box[:3])
+    nonstack = np.array([not p.box.stackable for p in placements], dtype=bool)
+    return lo, lo + box[3:], nonstack
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +336,12 @@ def _room(ep, ext):
     return (w <= rx) & (l <= ry) & (h <= rz)
 
 
-def _fits(tu: LoadedTu, anchors: np.ndarray, ext: np.ndarray, stackable: bool) -> np.ndarray:
+def _fits(tu: PackedTu, anchors: np.ndarray, ext: np.ndarray, stackable: bool) -> np.ndarray:
     """Per candidate (rows of ``anchors`` and ``ext``), whether the oriented
     box sits there without overlapping a loaded box, without intruding above
     a non-stackable one, and, when it is itself non-stackable, without a
     loaded box above it. Residuals are checked separately by ``_room``."""
-    lo, hi, nonstack = tu.geometry()
+    lo, hi, nonstack = tu.corners
     a = anchors.T[:, :, None]
     top = a + ext.T[:, :, None]
     apart = (lo[:, None] < top) & (a < hi[:, None])
@@ -337,7 +375,7 @@ def _price(ep, ext, nbox: int, cp: CostParams):
     return (_ep_part(ep, cp) + _box_part(ext, cp)) + cp.lam * ((rx % w) + (ry % l)) - nbox
 
 
-def can_fit(tu: LoadedTu, ep, ob: Orientation, box: BoxSpec | None = None) -> bool:
+def can_fit(tu: PackedTu, ep, ob: Orientation, box: BoxSpec | None = None) -> bool:
     """Whether an oriented box can sit at this EP (an ``ExtremePoint`` or a row
     of ``tu.eps``).
 
@@ -349,8 +387,6 @@ def can_fit(tu: LoadedTu, ep, ob: Orientation, box: BoxSpec | None = None) -> bo
     ext = (ob.w, ob.l, ob.h)
     if not _room(ep, ext):
         return False
-    if not tu.placements:
-        return True
     stackable = box.stackable if box is not None else True
     return bool(_fits(tu, np.array([ep[:3]]), np.array([ext]), stackable)[0])
 
@@ -365,7 +401,7 @@ def placement_cost(ep, ob: Orientation, nbox: int, cp: CostParams = DEFAULT_COST
     return float(_price(ep, (ob.w, ob.l, ob.h), nbox, cp))
 
 
-def best_spot(tu: LoadedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST):
+def best_spot(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST):
     """Cheapest feasible (EP, orientation) of a box in one TU, or None.
 
     Every (EP, orientation) pair that passes the residual test is priced at
@@ -394,7 +430,7 @@ def best_spot(tu: LoadedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST):
     return float(cost[rank[0]]), ep_idx, enumerate_orientations(box)[oi]
 
 
-def _fitting(tu: LoadedTu, eps: np.ndarray, ext: np.ndarray, rank: np.ndarray, stackable: bool):
+def _fitting(tu: PackedTu, eps: np.ndarray, ext: np.ndarray, rank: np.ndarray, stackable: bool):
     """``rank`` from its first candidate that fits on (empty when none does).
 
     Candidates are flat indices into the EP-major grid; they are tested in
@@ -410,31 +446,22 @@ def _fitting(tu: LoadedTu, eps: np.ndarray, ext: np.ndarray, rank: np.ndarray, s
     return rank[:0]
 
 
-def place_box(tu: LoadedTu, box: BoxSpec, ob: Orientation, ep) -> Placement:
-    """Anchor the box at the EP (a row of ``tu.eps`` or an ``ExtremePoint``)
-    and refresh the TU's EP array."""
+def place_box(tu: PackedTu, box: BoxSpec, ob: Orientation, ep) -> Placement:
+    """Anchor the box at the EP (a row of ``tu.eps`` or an ``ExtremePoint``);
+    ``tu.add`` refreshes the TU's EP array."""
     p = Placement.of(box, ob, int(ep[0]), int(ep[1]), int(ep[2]))
     tu.add(p)
-    update_eps(tu, p)
     return p
 
 
-def place_best(tu: LoadedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST) -> Placement | None:
+def place_best(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST) -> Placement | None:
     """Place the box at its ``best_spot`` in the TU; None, with the TU
-    untouched, when it fits nowhere. The twin of ``remove_box``."""
+    untouched, when it fits nowhere. The twin of ``PackedTu.remove_at``."""
     spot = best_spot(tu, box, cp)
     if spot is None:
         return None
     _, ep_idx, ob = spot
     return place_box(tu, box, ob, tu.eps[ep_idx])
-
-
-def remove_box(tu: LoadedTu, index: int) -> Placement:
-    """Take out the placement at ``index`` and re-seed the TU's EP array
-    from the remaining layout; the twin of ``place_box``."""
-    p = tu.remove_at(index)
-    tu.eps = eps_of_layout(tu)
-    return p
 
 
 def fits_empty(box: BoxSpec, tut: TuType) -> bool:
@@ -469,7 +496,7 @@ class _TuMemo:
         self.ep_part: np.ndarray | None = None
 
 
-def _cheapest(tus: list[LoadedTu], memos: list[_TuMemo], box: BoxSpec, cp: CostParams):
+def _cheapest(tus: list[PackedTu], memos: list[_TuMemo], box: BoxSpec, cp: CostParams):
     """The box's cheapest spot over the open TUs as (cost, TU index, EP
     index, orientation), ties to the lowest TU index; None when none has one.
 
@@ -513,7 +540,7 @@ def _cheapest(tus: list[LoadedTu], memos: list[_TuMemo], box: BoxSpec, cp: CostP
     return best
 
 
-def _floor(tu: LoadedTu, memo: _TuMemo, low: np.ndarray, box_part: float, cp: CostParams):
+def _floor(tu: PackedTu, memo: _TuMemo, low: np.ndarray, box_part: float, cp: CostParams):
     """The TU's price floor for a box of smallest extents ``low`` (per axis)
     and least orientation part ``box_part``; None when no EP's residuals
     reach ``low`` on every axis, so that no (EP, orientation) passes
@@ -531,7 +558,7 @@ def pack_3dbp(
     boxes: list[BoxSpec],
     cp: CostParams = DEFAULT_COST,
     sp: SortParams = DEFAULT_SORT,
-    open_tus: list[LoadedTu] | None = None,
+    *,
     max_tus: int | None = None,
 ) -> PackResult:
     """Sorted constructive insertion into TUs of a single type.
@@ -540,18 +567,15 @@ def pack_3dbp(
     price across all open TUs (``_cheapest``); when none exists a new TU is
     opened with the origin EP and the box placed at its cheapest orientation
     there. Boxes that cannot fit even an empty TU of this type are reported
-    unplaced. ``open_tus`` lets a caller resume packing into existing TUs;
-    they are mutated in place. Deterministic: no randomness anywhere in this
-    path.
+    unplaced. Deterministic: no randomness anywhere in this path.
 
     ``max_tus`` caps the TUs this call opens: the pack stops at the first box
     that would need one more, and reports that box and every later one (in
     insertion order) unplaced. Up to that box it is the uncapped pack.
     """
-    tus: list[LoadedTu] = list(open_tus) if open_tus else []
-    memos = [_TuMemo() for _ in tus]
+    tus: list[PackedTu] = []
+    memos: list[_TuMemo] = []
     unplaced: list[BoxSpec] = []
-    limit = len(tus) + max_tus if max_tus is not None else None
     order = sort_boxes(boxes, tut, sp)
     for i, box in enumerate(order):
         if not fits_empty(box, tut):
@@ -559,10 +583,10 @@ def pack_3dbp(
             continue
         best = _cheapest(tus, memos, box, cp)
         if best is None:
-            if len(tus) == limit:
+            if len(tus) == max_tus:
                 unplaced.extend(order[i:])
                 break
-            tu = fresh_tu(tut)
+            tu = PackedTu(tut)
             tus.append(tu)
             memos.append(_TuMemo())
             _, ep_idx, ob = best_spot(tu, box, cp)

@@ -25,7 +25,6 @@ from .generator import Instance
 from .geometry import (
     BoxSpec,
     BoxUnpackableError,
-    LoadedTu,
     ObjectiveParams,
     Solution,
     fill_rate,
@@ -34,11 +33,11 @@ from .geometry import (
 )
 from .packer import (
     CostParams,
+    PackedTu,
     SortParams,
     fits_empty,
     pack_3dbp,
     place_best,
-    remove_box,
 )
 
 
@@ -162,7 +161,7 @@ def initialize(
     larger types in volume order; a box fitting no catalog type raises.
     """
     remaining = list(instance.boxes)
-    tus: list[LoadedTu] = []
+    tus: list[PackedTu] = []
     for tut in pointer.types:
         if not remaining:
             break
@@ -174,14 +173,14 @@ def initialize(
     return Solution(tus)
 
 
-def _top_layer(tu: LoadedTu) -> list[int]:
+def _top_layer(tu: PackedTu) -> list[int]:
     """Indices of placements with nothing above their top face, ranked by
     top height descending (placement order breaks ties).
 
     A box is covered when another box's base strictly overlaps its own and
     that box reaches higher.
     """
-    lo, hi, _ = tu.geometry()
+    lo, hi, _ = tu.corners
     top = hi[2]
     base = (lo[:2, :, None] < hi[:2, None]) & (lo[:2, None] < hi[:2, :, None])
     covered = (base[0] & base[1] & (top > top[:, None])).any(axis=1)
@@ -201,7 +200,7 @@ def _relocate(
     src, dst = cand.tus[origin], cand.tus[dest]
     if place_best(dst, src.placements[pick].box, cost) is None:
         return None
-    remove_box(src, pick)
+    src.remove_at(pick)
     if not src.placements:
         cand.tus.pop(origin)
     return cand
@@ -213,8 +212,8 @@ def try_swap(
     """Exchange two boxes between TUs at their cheapest positions, if feasible."""
     cand = sol.clone()
     a, b = cand.tus[tu_a], cand.tus[tu_b]
-    box_a = remove_box(a, pick_a).box
-    box_b = remove_box(b, pick_b).box
+    box_a = a.remove_at(pick_a).box
+    box_b = b.remove_at(pick_b).box
     if place_best(b, box_a, cost) is None or place_best(a, box_b, cost) is None:
         return None
     return cand
@@ -304,7 +303,7 @@ _BUDGET_MARGIN = 1e-9
 
 def _destroy(
     sol: Solution, victims: list[int], objective: ObjectiveParams, incumbent_fitness: float
-) -> tuple[list[LoadedTu], list[BoxSpec], float]:
+) -> tuple[list[PackedTu], list[BoxSpec], float]:
     """Split a solution at the victim TUs: the surviving TUs, the released
     boxes, and the budget of the rebuild, which is what its new TUs may cost
     in total for the candidate to still beat the incumbent."""
@@ -317,7 +316,7 @@ def _destroy(
 
 
 def _rebuild(
-    survivors: list[LoadedTu], released: list[BoxSpec], tut, run: Run, budget: float
+    survivors: list[PackedTu], released: list[BoxSpec], tut, run: Run, budget: float
 ) -> Solution | None:
     """Survivors plus a fresh pack of the released boxes; None when some
     released box cannot fit the rebuild type, or when the new TUs cannot stay

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from tupack.geometry import BoxSpec, LoadedTu, Placement, TuType
-from tupack.packer import ExtremePoint, eps_of_layout
+from tupack.geometry import BoxSpec, Placement, TuType
+from tupack.packer import ExtremePoint, PackedTu
 
 EURO_PALLET = TuType("120x80x130", 120, 80, 130, 1000)
 
@@ -17,22 +17,16 @@ def ep_list(eps):
     return [ExtremePoint(*row) for row in eps.tolist()]
 
 
-def place(tu, box, w, l, h, x, y, z, code="wlh"):
-    tu.add(Placement(box, code, w, l, h, x, y, z))
-
-
 @pytest.fixture
 def worked_example_tu():
     """The mid-pack state of the walkthrough example: six flat boxes on a
     Euro pallet whose derived EP list matches the published nine anchor
     points and residuals exactly."""
-    tu = LoadedTu(EURO_PALLET)
-    for i, x in enumerate((0, 30, 60, 90)):
-        place(tu, _free_box(f"s{i}", 30, 40, 20), 30, 40, 20, x, 0, 0)
-    place(tu, _free_box("s4", 30, 40, 20), 30, 40, 20, 80, 40, 0)
-    place(tu, _free_box("s5", 80, 20, 20), 80, 20, 20, 0, 40, 0)
-    tu.eps = eps_of_layout(tu)
-    return tu
+    placements = [Placement(_free_box(f"s{i}", 30, 40, 20), "wlh", 30, 40, 20, x, 0, 0)
+                  for i, x in enumerate((0, 30, 60, 90))]
+    placements.append(Placement(_free_box("s4", 30, 40, 20), "wlh", 30, 40, 20, 80, 40, 0))
+    placements.append(Placement(_free_box("s5", 80, 20, 20), "wlh", 80, 20, 20, 0, 40, 0))
+    return PackedTu(EURO_PALLET, placements)
 
 
 WORKED_EXAMPLE_EPS = {

@@ -1,5 +1,6 @@
 """The statistics behind a ``BENCH_<pr>.json``: ``scripts/bench_record.py``'s
-``quartiles`` and ``summarize`` on hand-built pairs (no git, no perfbench)."""
+``quartiles`` and ``summarize`` on hand-built pairs, and its source line
+count on a hand-built checkout (no git, no perfbench)."""
 
 from __future__ import annotations
 
@@ -110,3 +111,15 @@ def test_checks_need_one_fingerprint_on_both_sides():
     drifting = bench_record.checks(_runs((("a", 0), ("a", 0)), (("b", 3), ("a", 0))))
     assert drifting["fingerprints_match"] is False
     assert drifting["failed_runs"] == {"parent": 1, "change": 0}
+
+
+def test_source_lines_counts_each_module_of_the_package(tmp_path):
+    pkg = tmp_path / "src" / "tupack"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\n# end\n")
+    (pkg / "b.py").write_text("y = 2\nz = 3")   # no newline at the end
+    (pkg / "notes.txt").write_text("not counted\n")
+    (pkg / "sub" / "c.py").write_text("not counted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("not counted\n")
+    assert bench_record.source_lines(tmp_path) == {"files": {"a.py": 3, "b.py": 2}, "total": 5}

@@ -326,6 +326,27 @@ def test_compare_instance_mismatch(workspace, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "render", "compare"])
+def test_a_solution_of_another_instance_exits_1_naming_its_file(workspace, tmp_path, capsys,
+                                                                  command):
+    """Its boxes are unknown to the instance, but the ``instance`` record is
+    read first, so every command reports the other instance, not a box."""
+    run_cli("generate", "--demand", "1,100", "--scheme", "1", "--out", tmp_path / "other")
+    other = tmp_path / "other" / "gen001_s1.ref.txt"
+    files = {"validate": [other], "render": [other, "--out", tmp_path / "svg"],
+             "compare": [workspace / "inst" / "gen001_s3.ref.txt", other]}[command]
+    capsys.readouterr()
+    assert run_cli(command, workspace / "inst" / "gen001_s3.inst.txt", *files) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {other}: line 2: solution of instance 'gen001_s1', not 'gen001_s3'\n"
+
+
+def test_compare_names_the_malformed_solution(workspace, tmp_path, capsys):
+    argv = _validate_with_fitness("nan", "compare")(workspace, tmp_path)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'bad.sol.txt'}: line 3:")
+
+
 def test_two_hand_built_layouts_volume_comparison(tmp_path):
     # twelve 60x40x60 boxes: one tall single-TU layout vs two low TUs
     from tupack.generator import Instance
@@ -434,15 +455,19 @@ def _solve_with(*flags):
     return argv
 
 
-def _validate_with_fitness(value):
-    """``validate`` on a copy of a reference solution with its fitness line
-    edited."""
+def _validate_with_fitness(value, command="validate"):
+    """``validate`` (or ``render`` or ``compare``, after the reference) on a
+    copy of a reference solution with its fitness line edited."""
     def argv(workspace, tmp_path):
-        text = (workspace / "inst" / "gen001_s3.ref.txt").read_text()
-        text, n = re.subn(r"^fitness .*$", f"fitness {value}", text, count=1, flags=re.M)
+        ref = workspace / "inst" / "gen001_s3.ref.txt"
+        text, n = re.subn(r"^fitness .*$", f"fitness {value}", ref.read_text(), count=1,
+                          flags=re.M)
         assert n == 1
-        (tmp_path / "bad.sol.txt").write_text(text)
-        return ["validate", workspace / "inst" / "gen001_s3.inst.txt", tmp_path / "bad.sol.txt"]
+        bad = tmp_path / "bad.sol.txt"
+        bad.write_text(text)
+        files = {"validate": [bad], "render": [bad, "--out", tmp_path / "svg"],
+                 "compare": [ref, bad]}[command]
+        return [command, workspace / "inst" / "gen001_s3.inst.txt", *files]
     return argv
 
 
@@ -492,6 +517,8 @@ _MALFORMED = {
     "micro-repeats far above the limit": _solve_with("--micro-repeats", "100000000"),
     "NaN solution fitness": _validate_with_fitness("nan"),
     "negative solution fitness": _validate_with_fitness("-1"),
+    "NaN solution fitness in render": _validate_with_fitness("nan", "render"),
+    "NaN solution fitness in compare": _validate_with_fitness("nan", "compare"),
     "batch without instances": _batch_on_empty_dir,
     "batch gamma in workers": lambda workspace, tmp_path: [
         "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas", "95",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tupack.fileio import (
     FormatError,
+    OtherInstanceError,
     dump_instance,
     dump_solution,
     parse_catalog,
@@ -208,3 +209,39 @@ def test_non_finite_weight_names_its_line(tag, value):
     lines[ln - 1] = f"{tag} {value}"
     with pytest.raises(FormatError, match=rf"^line {ln}: {tag} must be a finite number"):
         parse_instance("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("lines, ln", [
+    (["alpha 1e13"], 3),
+    (["beta 2e12"], 3),
+    (["alpha 1e7", "beta 1", "theta 1e7"], 5),
+    (["theta 1e7", "beta 1", "alpha 1e7"], 5),
+    (["beta 1", "alpha 1e11"], 4),   # theta left out: its default 100 counts
+], ids=["alpha", "beta", "alpha then theta", "theta then alpha", "default theta"])
+def test_weight_above_the_limit_names_its_line(lines, ln):
+    """A weight above ``MAX_COST_CONSTANT`` is reported at its line, and
+    alpha*theta at the later line of the two."""
+    text = "format instance 1\nname x\n" + "".join(f"{line}\n" for line in lines)
+    text += "tutype t 120 80 130 1000\n"
+    with pytest.raises(FormatError, match=rf"^line {ln}: objective weights .* at most 1e\+12"):
+        parse_instance(text)
+
+
+def test_weights_below_the_limit_in_any_order_parse():
+    text = "format instance 1\nname x\nalpha 1e11\ntheta 1\nbeta 1e12\ntutype t 1 1 1 1\n"
+    assert parse_instance(text).objective.alpha == 1e11
+
+
+@pytest.mark.parametrize("edit, ln", [
+    (lambda lines: [lines[0], "instance other"] + lines[2:], 2),
+    (lambda lines: [lines[0]] + lines[2:], 2),
+    (lambda lines: lines[:1], None),
+], ids=["another instance", "no instance record", "no record at all"])
+def test_solution_of_another_instance_or_none_is_reported_at_its_record(edit, ln):
+    """A solution names its instance first, so a file of another instance is
+    reported as such even when its boxes are unknown."""
+    lines = edit(_VALID["solution"].splitlines())
+    where = f"line {ln}: " if ln else ""
+    with pytest.raises(OtherInstanceError, match=rf"^{where}(solution of instance 'other'"
+                                                 r"|no 'instance' record)"):
+        parse_solution("\n".join(lines) + "\n", _INST)

@@ -8,6 +8,7 @@ from tupack.generator import (
     DEFAULT_CATALOG,
     BUILTIN_DEMANDS,
     InfeasibleBoundsError,
+    Instance,
     PERFECT_PARTITIONS,
     PartitionBounds,
     UnknownTypeError,
@@ -21,6 +22,7 @@ from tupack.geometry import (
     BoxSpec,
     LoadedTu,
     Placement,
+    Solution,
     TuType,
     center_of_gravity,
     fill_rate,
@@ -270,6 +272,13 @@ def test_validate_solution_names_each_problem():
     assert any(p.startswith("TU 0: bounds:") for p in problems)
     # the recorded fitness is not checked while a TU is empty
     assert not any("recomputation" in p for p in problems)
+
+
+def test_validate_solution_checks_the_fitness_of_a_solution_without_tus():
+    inst = Instance("e", [])
+    assert validate_solution(inst, Solution([]), 0.0) == []
+    assert validate_solution(inst, Solution([]), 5.0) == [
+        "recorded fitness 5.0 does not match recomputation 0.0"]
 
 
 def test_generate_scheme3_reference_cg_is_perfect():

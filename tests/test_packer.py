@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tupack.fileio import dump_solution, parse_solution
+from tupack.generator import Instance
 from tupack.geometry import (
     BoxSpec,
     LoadedTu,
     Placement,
+    Solution,
     TuType,
     enumerate_orientations,
     fill_rate,
@@ -21,20 +23,19 @@ from tupack.packer import (
     MAX_COST_CONSTANT,
     CostParams,
     ExtremePoint,
+    PackedTu,
     SortParams,
     best_spot,
     can_fit,
     eps_of_layout,
     fits_empty,
-    fresh_tu,
     pack_3dbp,
     place_best,
     place_box,
     placement_cost,
-    remove_box,
     sort_boxes,
 )
-from tupack.packer import _box_part, _extents, _floor, _price, _room, _TuMemo
+from tupack.packer import _box_part, _cheapest, _extents, _floor, _price, _room, _TuMemo
 
 from conftest import EURO_PALLET, WORKED_EXAMPLE_EPS, ep_list
 
@@ -143,13 +144,10 @@ def test_worked_example_floor_ep_beats_raised_eps(worked_example_tu):
 # can_fit against the fit-check walkthrough
 
 def _fit_check_tu():
-    tu = LoadedTu(TuType("p", 120, 80, 100, 1000))
     b1 = free_box("b1", 30, 30, 30)
     b2 = free_box("b2", 40, 40, 40)
-    tu.add(Placement(b1, "wlh", 30, 30, 30, 0, 0, 0))
-    tu.add(Placement(b2, "wlh", 40, 40, 40, 15, 30, 0))
-    tu.eps = eps_of_layout(tu)
-    return tu
+    return PackedTu(TuType("p", 120, 80, 100, 1000), [
+        Placement(b1, "wlh", 30, 30, 30, 0, 0, 0), Placement(b2, "wlh", 40, 40, 40, 15, 30, 0)])
 
 
 def test_fit_check_residuals_at_top_of_first_box():
@@ -176,7 +174,7 @@ def test_can_fit_walkthrough_insertion(worked_example_tu):
 
 
 def test_can_fit_rejects_stacking_intrusion():
-    tu = fresh_tu(EURO_PALLET)
+    tu = PackedTu(EURO_PALLET)
     base = free_box("base", 40, 40, 20, stackable=False)
     o = enumerate_orientations(base)[0]
     from tupack.packer import place_box
@@ -199,7 +197,7 @@ def test_can_fit_rejects_stacking_intrusion():
 # EP generation
 
 def test_first_stackable_box_spawns_three_eps():
-    tu = fresh_tu(T_120_80_160)
+    tu = PackedTu(T_120_80_160)
     box = free_box("a", 40, 30, 20)
     from tupack.packer import place_box
 
@@ -209,7 +207,7 @@ def test_first_stackable_box_spawns_three_eps():
 
 
 def test_first_non_stackable_box_spawns_two_eps():
-    tu = fresh_tu(T_120_80_160)
+    tu = PackedTu(T_120_80_160)
     box = BoxSpec("a", 40, 30, 20, stackable=False)
     from tupack.packer import place_box
 
@@ -221,7 +219,7 @@ def test_first_non_stackable_box_spawns_two_eps():
 def test_ep_projection_onto_neighbor_faces():
     # a second box behind and above the first projects its points onto the
     # first box's faces rather than the walls
-    tu = fresh_tu(T_120_80_160)
+    tu = PackedTu(T_120_80_160)
     from tupack.packer import place_box
 
     a = free_box("a", 60, 40, 20)
@@ -242,10 +240,9 @@ def test_ep_projection_onto_neighbor_faces():
 def test_interior_box_contributes_five_eps():
     # a box with free space on all relevant sides yields all five rule
     # points: two floor projections and the top corner with its two
-    tu = LoadedTu(T_120_80_160)
     box = free_box("mid", 40, 30, 30)
-    tu.add(Placement(box, "wlh", 40, 30, 30, 40, 40, 0))
-    pts = {(e.x, e.y, e.z) for e in ep_list(eps_of_layout(tu))}
+    tu = PackedTu(T_120_80_160, [Placement(box, "wlh", 40, 30, 30, 40, 40, 0)])
+    pts = {(e.x, e.y, e.z) for e in ep_list(tu.eps)}
     expected = {(80, 0, 0), (0, 70, 0), (40, 40, 30), (40, 0, 30), (0, 40, 30)}
     assert expected <= pts
     assert pts == expected | {(0, 0, 0)}
@@ -434,19 +431,19 @@ def test_pack_deterministic():
 
 
 def test_pack_prefers_fuller_tu_on_cost_ties():
-    # two open TUs, identical geometry, one fuller: NBOX term must pull the
-    # next box into the fuller one
-    from tupack.packer import place_box
-
-    a = fresh_tu(T_120_80_160)
-    b = fresh_tu(T_120_80_160)
+    # two open TUs whose cheapest spots for the next box price the same but
+    # for the NBOX term: it must pull the box into the fuller one, although
+    # that one comes later
+    a = PackedTu(T_120_80_160)
+    b = PackedTu(T_120_80_160)
     bx = BoxSpec("x", 40, 40, 40)
     place_box(a, bx, enumerate_orientations(bx)[0], a.eps[0])
     place_box(b, bx, enumerate_orientations(bx)[0], b.eps[0])
     bx2 = BoxSpec("y", 40, 40, 40)
     place_box(a, bx2, enumerate_orientations(bx2)[0], a.eps[0])
-    res = pack_3dbp(T_120_80_160, [BoxSpec("z", 40, 40, 40)], open_tus=[b, a])
-    assert a.nbox == 3 and b.nbox == 1
+    z = BoxSpec("z", 40, 40, 40)
+    assert best_spot(a, z)[0] == best_spot(b, z)[0] - 1
+    assert _cheapest([b, a], [_TuMemo(), _TuMemo()], z, DEFAULT_COST)[1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +528,7 @@ def _pack_without_memo(tut, boxes, open_tus=(), after_place=None, cp=DEFAULT_COS
             _, ti, ep_idx, ob = min(spots, key=lambda s: (s[0], s[1]))
             tu = tus[ti]
         else:
-            tu = fresh_tu(tut)
+            tu = PackedTu(tut)
             tus.append(tu)
             _, ep_idx, ob = best_spot(tu, box, cp)
         before = [e[:3] for e in ep_list(tu.eps)]
@@ -560,7 +557,6 @@ def test_incremental_eps_equal_full_remeasure():
             if tu.nbox < 2:
                 continue
             tu.remove_at(rng.randrange(tu.nbox))
-            tu.eps = eps_of_layout(tu)
             layout_points = [(0, 0, 0)] + [q for p in tu.placements for q in _ref_candidates(tu, p)]
             assert ep_list(tu.eps) == _ref_eps(tu, layout_points)
         # incremental updates resumed on re-seeded TUs
@@ -597,7 +593,7 @@ def test_every_insertion_equals_the_full_remeasure(dims, steps):
     whole load: in narrow and tall TUs whose walls stop the projections,
     with boxes anchored flush on any EP (so new points land on old ones),
     non-stackable boxes and rotation flags."""
-    tu = fresh_tu(TuType("small", *dims, 10**6))
+    tu = PackedTu(TuType("small", *dims, 10**6))
     for i, ((w, l, h, txz, tyz, stackable), pick) in enumerate(steps):
         box = BoxSpec(f"b{i}", w, l, h, 0, txz, tyz, stackable)
         spot = _anchored_spot(tu, box, pick)
@@ -608,7 +604,7 @@ def test_every_insertion_equals_the_full_remeasure(dims, steps):
         assert ep_list(tu.eps) == _ref_eps(tu, before + _ref_candidates(tu, p))
 
 
-def test_remove_box_reseeds_from_the_layout():
+def test_remove_at_reseeds_from_the_layout():
     for seed in range(6):
         rng = random.Random(300 + seed)
         tus, _ = _pack_without_memo(T_120_80_160, _random_boxes(rng, 20))
@@ -616,7 +612,7 @@ def test_remove_box_reseeds_from_the_layout():
             while tu.placements:
                 index = rng.randrange(tu.nbox)
                 placed = tu.placements[index]
-                assert remove_box(tu, index) is placed
+                assert tu.remove_at(index) is placed
                 assert placed not in tu.placements
                 points = [(0, 0, 0)] + [q for p in tu.placements for q in _ref_candidates(tu, p)]
                 assert ep_list(tu.eps) == _ref_eps(tu, points)
@@ -651,8 +647,7 @@ def test_best_spot_is_exhaustive_lexicographic_minimum():
                         fits = can_fit(tu, e, o, box)
                         # the fit test against an independent check: residuals
                         # hold and the placed box breaks no overlap or stacking rule
-                        trial = tu.clone()
-                        trial.add(Placement.of(box, o, e.x, e.y, e.z))
+                        trial = LoadedTu(tu.tu_type, tu.placements + [Placement.of(box, o, *e[:3])])
                         clash = {v.kind for v in validate_tu(trial)} & {"overlap", "stacking"}
                         room = o.w <= e.rx and o.l <= e.ry and o.h <= e.rz
                         assert fits == (room and not clash)
@@ -678,11 +673,6 @@ def test_pack_3dbp_equals_pack_without_memo():
         assert _layout(got.tus) == _layout(tus)
         assert got.unplaced == unplaced
         assert [ep_list(tu.eps) for tu in got.tus] == [ep_list(tu.eps) for tu in tus]
-        # resuming into open TUs keeps the equivalence
-        more = _random_boxes(rng, 10)
-        resumed = pack_3dbp(T_120_80_160, more, open_tus=[tu.clone() for tu in got.tus])
-        tus, _ = _pack_without_memo(T_120_80_160, more, open_tus=[tu.clone() for tu in tus])
-        assert _layout(resumed.tus) == _layout(tus)
 
 
 # A low-capacity TU small against the test boxes, so packs keep many TUs open.
@@ -693,18 +683,14 @@ T_SMALL = TuType("90x70x80", 90, 70, 80, 600)
 @given(cp=_cost_params(), seed=st.integers(0, 2**16))
 def test_floor_skip_keeps_the_pack(cp, seed):
     """pack_3dbp, which skips best_spot calls on price floors, packs exactly
-    like the reference that asks every TU, for any pricing constants: fresh,
-    resumed into open TUs, and capped one TU short."""
+    like the reference that asks every TU, for any pricing constants, and
+    capped one TU short."""
     rng = random.Random(seed)
     boxes = _random_boxes(rng, 30)
     got = pack_3dbp(T_SMALL, boxes, cp)
     tus, unplaced = _pack_without_memo(T_SMALL, boxes, cp=cp)
     assert _layout(got.tus) == _layout(tus) and got.unplaced == unplaced == []
     assert [ep_list(tu.eps) for tu in got.tus] == [ep_list(tu.eps) for tu in tus]
-    more = [replace(b, id="m" + b.id) for b in _random_boxes(rng, 20)]
-    resumed = pack_3dbp(T_SMALL, more, cp, open_tus=[tu.clone() for tu in tus])
-    ref, _ = _pack_without_memo(T_SMALL, more, open_tus=[tu.clone() for tu in tus], cp=cp)
-    assert _layout(resumed.tus) == _layout(ref)
     capped = pack_3dbp(T_SMALL, boxes, cp, max_tus=len(tus) - 1)
     placed = sum(tu.nbox for tu in capped.tus)
     assert capped.unplaced == sort_boxes(boxes, T_SMALL)[placed:]
@@ -732,7 +718,7 @@ def test_floor_is_below_every_room_passing_price(cp, seed):
     none passes and best_spot finds no spot. Fresh TUs are included: with
     lam = 0 the origin's price can equal the floor."""
     rng = random.Random(seed)
-    states = [fresh_tu(T_SMALL)]
+    states = [PackedTu(T_SMALL)]
     _pack_without_memo(T_SMALL, _random_boxes(rng, 20), cp=cp,
                        after_place=lambda tu, before, p: states.append(tu.clone()))
     for tu in states:
@@ -751,44 +737,74 @@ def test_floor_is_below_every_room_passing_price(cp, seed):
 def test_pack_3dbp_max_tus_stops_at_the_tu_past_the_cap():
     """Within the cap the capped pack is the uncapped one; past it, the pack
     stops at the first box that needs one more TU and reports that box and
-    every later box unplaced, fresh and when resuming into open TUs."""
+    every later box unplaced."""
     equal = cut = 0
     for seed in range(20):
-        rng = random.Random(300 + seed)
-        boxes = _random_boxes(rng, 40)
-        more = [replace(b, id="m" + b.id) for b in _random_boxes(rng, 30)]
-        start = pack_3dbp(T_120_80_160, boxes[:15]).tus
-        for todo, open_tus in ((boxes, []), (more, start)):
-            full = pack_3dbp(T_120_80_160, todo, open_tus=[tu.clone() for tu in open_tus])
-            opened = len(full.tus) - len(open_tus)
-            order = sort_boxes(todo, T_120_80_160)
-            for k in range(opened + 2):
-                got = pack_3dbp(T_120_80_160, todo, open_tus=[tu.clone() for tu in open_tus],
-                                max_tus=k)
-                if opened <= k:
-                    assert _layout(got.tus) == _layout(full.tus)
-                    assert got.unplaced == full.unplaced == []
-                    equal += 1
-                    continue
-                assert len(got.tus) - len(open_tus) == k
-                assert got.unplaced
-                placed = sum(tu.nbox for tu in got.tus) - sum(tu.nbox for tu in open_tus)
-                assert got.unplaced == order[placed:]
-                # each TU holds a prefix of what the uncapped pack puts there
-                for mine, theirs in zip(_layout(got.tus), _layout(full.tus)):
-                    assert mine == theirs[:len(mine)]
-                cut += 1
-    assert equal > 40 and cut > 40
+        boxes = _random_boxes(random.Random(300 + seed), 40)
+        full = pack_3dbp(T_120_80_160, boxes)
+        order = sort_boxes(boxes, T_120_80_160)
+        for k in range(len(full.tus) + 2):
+            got = pack_3dbp(T_120_80_160, boxes, max_tus=k)
+            if len(full.tus) <= k:
+                assert _layout(got.tus) == _layout(full.tus)
+                assert got.unplaced == full.unplaced == []
+                equal += 1
+                continue
+            assert len(got.tus) == k
+            assert got.unplaced == order[sum(tu.nbox for tu in got.tus):]
+            # each TU holds a prefix of what the uncapped pack puts there
+            for mine, theirs in zip(_layout(got.tus), _layout(full.tus)):
+                assert mine == theirs[:len(mine)]
+            cut += 1
+    assert equal == 40 and cut > 40
 
 
 def test_clone_shares_nothing_mutable():
     res = pack_3dbp(T_120_80_160, _random_boxes(random.Random(7), 12))
     tu = res.tus[0]
-    eps, geom, layout = tu.eps, tu.geometry(), _layout([tu])
+    eps, geom, layout = tu.eps, tu.corners, _layout([tu])
     twin = tu.clone()
     box = BoxSpec("extra", 10, 10, 10)
     spot = best_spot(twin, box)
     place_box(twin, box, spot[2], twin.eps[spot[1]])
     assert tu.eps is eps and not tu.eps.flags.writeable
-    assert tu.geometry() is geom and _layout([tu]) == layout
-    assert twin.nbox == tu.nbox + 1
+    assert tu.corners is geom and _layout([tu]) == layout
+    assert isinstance(twin, PackedTu) and twin.nbox == tu.nbox + 1
+
+
+def test_packed_tu_from_placements_derives_the_layout_eps(monkeypatch):
+    """``PackedTu(tut, placements)`` holds exactly ``eps_of_layout``'s array,
+    and an empty one holds the origin EP without calling it."""
+    for seed in range(6):
+        for tu in pack_3dbp(T_120_80_160, _random_boxes(random.Random(400 + seed), 20)).tus:
+            rebuilt = PackedTu(tu.tu_type, tu.placements)
+            assert rebuilt.eps.tolist() == eps_of_layout(tu).tolist()
+            assert not rebuilt.eps.flags.writeable
+    monkeypatch.setattr("tupack.packer.eps_of_layout", None)
+    assert ep_list(PackedTu(T_120_80_160).eps) == [ExtremePoint(0, 0, 0, 120, 80, 160)]
+
+
+def test_tu_rebuilt_from_a_parsed_solution_takes_a_small_box():
+    """A parsed TU is plain data; rebuilt as a ``PackedTu`` it has the EPs of
+    its layout and lands a 1 cm box."""
+    boxes = _random_boxes(random.Random(5), 12)
+    inst = Instance("p", boxes, [T_120_80_160])
+    sol = Solution(pack_3dbp(T_120_80_160, boxes).tus)
+    parsed, _, _ = parse_solution(dump_solution(sol, inst.name, inst.objective), inst)
+    tu = parsed.tus[0]
+    assert type(tu) is LoadedTu
+    rebuilt = PackedTu(tu.tu_type, tu.placements)
+    assert place_best(rebuilt, free_box("cm", 1, 1, 1)) is not None
+    assert validate_tu(rebuilt) == []
+
+
+def test_plain_loaded_tu_has_no_eps_for_the_packer():
+    """The packer never reads an empty EP array off a plain ``LoadedTu`` and
+    answers "fits nowhere": it fails loudly instead."""
+    tu = LoadedTu(T_120_80_160)
+    assert not hasattr(tu, "eps")
+    box = free_box("cm", 1, 1, 1)
+    with pytest.raises(AttributeError):
+        best_spot(tu, box)
+    with pytest.raises(AttributeError):
+        place_best(tu, box)

@@ -10,7 +10,6 @@ from tupack.fileio import dump_solution
 from tupack.generator import DEFAULT_CATALOG, Instance, generate_instance, validate_solution
 from tupack.geometry import (
     BoxSpec,
-    LoadedTu,
     ObjectiveParams,
     Placement,
     Solution,
@@ -21,8 +20,8 @@ from tupack.geometry import (
 from tupack.lowerbound import DemandPoint
 from tupack.packer import (
     CostParams,
+    PackedTu,
     SortParams,
-    eps_of_layout,
     fits_empty,
     pack_3dbp,
     place_best,
@@ -54,12 +53,8 @@ T6 = TuType("120x120x160", 120, 120, 160, 1500)
 
 
 def loaded(tut, rows):
-    tu = LoadedTu(tut)
-    for (bid, w, l, h, x, y, z, wgt) in rows:
-        box = BoxSpec(bid, w, l, h, wgt)
-        tu.add(Placement(box, "wlh", w, l, h, x, y, z))
-    tu.eps = eps_of_layout(tu)
-    return tu
+    return PackedTu(tut, [Placement(BoxSpec(bid, w, l, h, wgt), "wlh", w, l, h, x, y, z)
+                          for (bid, w, l, h, x, y, z, wgt) in rows])
 
 
 def feasible(sol):
@@ -384,9 +379,9 @@ def test_ls2_scans_each_type_at_most_once():
 
     orig = search_mod.pack_3dbp
 
-    def spy(tut, boxes, cost, sort, open_tus=None, max_tus=None):
+    def spy(tut, boxes, cost, sort, *, max_tus=None):
         calls.append(tut.id)
-        return orig(tut, boxes, cost, sort, open_tus=open_tus, max_tus=max_tus)
+        return orig(tut, boxes, cost, sort, max_tus=max_tus)
 
     tu = loaded(T6, [("big", 100, 60, 100, 0, 0, 0, 50)])
     ptr = TypePointer(DEFAULT_CATALOG)
