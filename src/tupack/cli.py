@@ -177,10 +177,17 @@ def cmd_validate(args) -> int:
 
 
 def _batch_one(task):
+    """Solve one batch task: its report row (None when the solve failed) and
+    what went wrong, if anything. A malformed instance or parameter still
+    raises ``InputError``; a failed solve is returned, so the batch goes on."""
     path, args = task
     inst = _read_input(read_instance, path)
-    _, row, problems = _solve(inst, _params(args, inst))
-    return row, len(problems)
+    params = _params(args, inst)
+    try:
+        _, row, problems = _solve(inst, params)
+    except Exception as exc:
+        return None, f"solve failed: {exc}"
+    return row, f"{len(problems)} violations" if problems else None
 
 
 def cmd_batch(args) -> int:
@@ -210,17 +217,19 @@ def cmd_batch(args) -> int:
             results = list(pool.map(_batch_one, tasks))
     else:
         results = [_batch_one(t) for t in tasks]
-    for (path, _), (row, violations) in zip(tasks, results):
-        rows.append(row)
-        if violations:
+    for (path, task_args), (row, failure) in zip(tasks, results):
+        if row is not None:
+            rows.append(row)
+        if failure:
             failures += 1
-            print(f"{path} omega={row.omega}: {violations} violations", file=sys.stderr)
+            print(f"{path} omega={task_args.omega}: {failure}", file=sys.stderr)
     write_rows_csv(out / "per_instance.csv", rows)
     summaries, ls_summaries = [], []
     for omega in omegas:
         batch = [r for r in rows if r.omega == omega]
-        summaries.append(summarize(batch))
-        ls_summaries.append(summarize_local_search(batch))
+        # an omega whose every solve failed still reports its own value
+        summaries.append({**summarize(batch), "omega": omega})
+        ls_summaries.append({**summarize_local_search(batch), "omega": omega})
     write_summary_csv(out / "summary.csv", summaries)
     write_summary_csv(out / "local_search.csv", ls_summaries)
     print(f"solved {len(instances)} instances x {len(omegas)} omega values -> {out}")

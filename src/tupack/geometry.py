@@ -38,6 +38,10 @@ class BoxUnpackableError(ValueError):
         super().__init__(f"box {box_id!r} fits no available transport unit type")
         self.box_id = box_id
 
+    def __reduce__(self):
+        # rebuilt from the box id, not the message, so it crosses a process pool
+        return type(self), (self.box_id,)
+
 
 # Axis assignment codes. Each code names which raw dimension (w/l/h) lies
 # along X, Y, Z in that order. The first two are always legal (base swap),

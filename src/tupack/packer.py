@@ -129,28 +129,29 @@ def sort_boxes(boxes: list[BoxSpec], tut: TuType, sp: SortParams = DEFAULT_SORT)
 # Rays, residuals and EP bookkeeping
 #
 # A TU's EPs are one read-only int64 (E, 6) array of rows (x, y, z, rx, ry,
-# rz). Every change builds a new array, because ``PackedTu.clone`` shares it.
-# Placements are read from ``PackedTu.corners`` as (3, P) lower and upper
-# corner arrays, one row per axis, so the long box axis is the inner one in
-# every (3, points, boxes) comparison. All spans are half-open, so faces
-# that merely touch neither cover nor block.
+# rz). Its load is one int64 (6, P) corner array, a column (x, y, z, x', y',
+# z') per box, and a bool (P,) non-stackable mask; ``PackedTu.corners`` holds
+# the lower and upper corner rows as (3, P) views, one row per axis, so the
+# long box axis is the inner one in every (3, points, boxes) comparison.
+# Every change builds new arrays, because ``PackedTu.clone`` shares them. All
+# spans are half-open, so faces that merely touch neither cover nor block.
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
 
-def _ray(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Per point (rows of ``pts``), the coordinate reached going from it
-    toward the origin on its own axis (``axes``, one per point): the nearest
-    far face of a box whose cross-section covers the point, or the TU wall
-    at 0."""
-    p = pts.T[:, :, None]
+def _ray(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, axes: np.ndarray, own: np.ndarray):
+    """Per point (columns of ``p``, one row per axis), the coordinate reached
+    going from it toward the origin on its own axis (``axes``, one per point;
+    ``own`` is ``_AXES == axes`` as a (3, points, 1) mask): the nearest far
+    face of a box whose cross-section covers the point, or the TU wall at 0."""
+    p = p[:, :, None]
     # a box is hit when it ends at or before the point on the ray's axis and
     # its spans on the two other axes cover the point (hi <= p gives lo <= p)
-    short = (p < hi[:, None]) != (_AXES == axes)[:, :, None]
+    short = (p < hi[:, None]) != own
     hit = ((lo[:, None] <= p) & short).all(axis=0)
-    return np.where(hit, hi[axes], 0).max(axis=1, initial=0)
+    return hi[axes].max(axis=1, where=hit, initial=0)
 
 
 _AXES = np.arange(3)[:, None]
@@ -161,64 +162,78 @@ _OTHER_1, _OTHER_2 = np.array([1, 0, 0]), np.array([2, 2, 1])
 def _measure(lo, hi, pts: np.ndarray, dims: np.ndarray):
     """Which points (rows of ``pts``) the boxes (columns of ``lo``/``hi``)
     cover, and each point's residuals: the distance to the nearest box face
-    or TU wall ahead on each axis ray."""
+    or TU wall ahead on each axis ray. A point inside the walls has room on
+    every axis: a blocking box starts beyond it."""
     p, lo = pts.T[:, :, None], lo[:, None]
     start = lo <= p
     inside = start & (p < hi[:, None])
     others = inside.take(_OTHER_1, axis=0) & inside.take(_OTHER_2, axis=0)
     covered = (inside[0] & others[0]).any(axis=1)
     # a box blocks the ray on an axis when its spans on the two other axes
-    # cover the point and it starts beyond the point there (one that starts
-    # at the point covers it, and a covered point's residuals are moot)
-    reach = np.where(others & ~start, lo, dims[:, None, None]).min(axis=2)
+    # cover the point and it starts beyond the point there, others > start
+    # (one that starts at the point covers it, and a covered point's
+    # residuals are moot)
+    reach = np.where(others > start, lo, dims[:, None, None]).min(axis=2)
     return covered, reach.T - pts
 
 
-def _eps(rows: np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """The measured rows (x, y, z, rx, ry, rz) whose point no box covers and
-    that have room on every axis, in order."""
-    return rows[~covered & (rows[:, 3:] > 0).all(axis=1)]
-
-
 def _unseen(pts: np.ndarray, seeds: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """The points that repeat neither a seed nor an earlier point, in order,
-    found by direct comparison of their cell numbers in the TU's ``_frame``.
-    Coordinates are never negative; those beyond a wall are clamped to it,
-    which keeps the numbering one-to-one, and ``_measure`` gives such points
-    no room."""
+    """The points inside the TU's walls that repeat neither a seed nor an
+    earlier point, in order. Points are told apart by their cell numbers in
+    the TU's ``_frame``, kept in a set: O(points + seeds). A point on or
+    beyond a wall has no room there, so it is dropped unnumbered."""
     dims, scale = frame
-    seen = np.concatenate((seeds, np.minimum(pts, dims))) @ scale
-    key = seen[len(seeds):]
-    # a point is new when the first point equal to it is itself
-    return pts[(key[:, None] == seen).argmax(axis=1) == np.arange(len(seeds), len(seen))]
+    seen = set((seeds @ scale).tolist())
+    keep = []
+    for i, (cell, inside) in enumerate(zip((pts @ scale).tolist(),
+                                           (pts < dims).all(axis=1).tolist())):
+        if inside and cell not in seen:
+            seen.add(cell)
+            keep.append(i)
+    return pts[keep]
 
 
 # Each rule's starting point as picks from a box's (x, y, z, x', y', z')
 # corners: rule 1 the east-south-down corner, rule 2 the west-north-down
 # corner, rules 3-5 the top corner.
-_START = np.array([[3, 1, 2], [0, 4, 2], [0, 1, 5], [0, 1, 5], [0, 1, 5]])
+_START = np.array([[3, 1, 2], [0, 4, 2], [0, 1, 5], [0, 1, 5], [0, 1, 5]]).T
 # The rays, as the (rule, axis) of each coordinate they set. Pass one drops
 # rules 1-2 down, takes rule 4 south and rule 5 west; pass two takes rules 1
 # and 2 south and west from the points they dropped to.
 _PASSES = ((np.array([0, 1, 3, 4]), np.array([2, 2, 1, 0])), (np.array([0, 1]), np.array([1, 0])))
 _TOP_RULES = np.array([False, False, True, True, True])
+# the rules a stackable (True) or non-stackable (False) box keeps, as one row
+_RULES_OF = {s: _frozen((_TOP_RULES <= s)[None]) for s in (False, True)}
 
 
-def _candidate_points(lo, hi, stackable: np.ndarray, blo, bhi) -> np.ndarray:
-    """The up-to-five anchor points each box (columns of ``blo``/``bhi``)
-    contributes, as (N, 3) rows, box by box and rule by rule.
+@lru_cache(maxsize=16)
+def _rays_of(n: int):
+    """Per ``_PASSES`` pass over ``n`` boxes: its rules and axes, and each
+    ray's axis with its ``_ray`` mask, rule-major. ``update_eps`` always
+    asks for one box, so that entry stays cached."""
+    out = []
+    for rules, axes in _PASSES:
+        each = _frozen(axes.repeat(n))
+        out.append((rules, axes, each, _frozen((_AXES == each)[:, :, None])))
+    return tuple(out)
+
+
+def _candidate_points(lo, hi, rules: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """The up-to-five anchor points each box (columns of the corner array
+    ``boxes``) contributes, as (N, 3) rows, box by box and rule by rule;
+    ``rules`` (boxes, 5) says which rules each box keeps.
 
     Rule 1 projects the east-south-down corner down then south; rule 2 the
     west-north-down corner down then west. Rules 3-5 apply only to stackable
     boxes: the top corner itself plus its south and west projections. Rays
     run against the whole load (``lo``/``hi``) in two ``_ray`` passes.
     """
-    n = blo.shape[1]
-    pts = np.concatenate((blo, bhi))[_START.T]  # (axis, rule, box)
-    for rules, axes in _PASSES:
-        reach = _ray(lo, hi, pts[:, rules].reshape(3, -1).T, axes.repeat(n))
-        pts[axes, rules] = reach.reshape(-1, n)
-    return pts.transpose(2, 1, 0)[_TOP_RULES <= stackable[:, None]]
+    n = boxes.shape[1]
+    pts = boxes[_START]  # (axis, rule, box)
+    for rule, axes, each, own in _rays_of(n):
+        reach = _ray(lo, hi, pts[:, rule].reshape(3, -1), each, own)
+        pts[axes, rule] = reach.reshape(-1, n)
+    return pts.transpose(2, 1, 0)[rules]
 
 
 @lru_cache(maxsize=64)
@@ -239,21 +254,25 @@ def update_eps(tu: PackedTu, placed: Placement):
     old EP's residual on each axis is the smaller of its old one and the
     distance to the new box, and it dies exactly when the new box covers it.
     The old EPs are therefore cut against the new box alone (the
-    residual-space update of Crainic, Perboli & Tadei). Only the new points
-    are measured against the whole load, after dropping those that repeat
-    an earlier one or an old EP point; those on or beyond a wall get no
-    room there and die in the measure.
+    residual-space update of Crainic, Perboli & Tadei); an uncovered one
+    keeps room, because each cut is a gap to a box that starts beyond it or
+    a wall distance. Only the new points are measured against the whole
+    load, after dropping those on or beyond a wall and those that repeat an
+    earlier one or an old EP point; each survivor that no box covers has room.
     """
     lo, hi, _ = tu.corners
-    blo, bhi = lo[:, -1:], hi[:, -1:]
+    box = tu.layout[:, -1:]
     frame, eps = _frame(tu.tu_type), tu.eps
-    covered, cut = _measure(blo, bhi, eps[:, :3], frame[0])
-    cand = _candidate_points(lo, hi, np.array([placed.box.stackable]), blo, bhi)
+    covered, cut = _measure(box[:3], box[3:], eps[:, :3], frame[0])
+    cand = _candidate_points(lo, hi, _RULES_OF[placed.box.stackable], box)
     new = _unseen(cand, eps[:, :3], frame)
     fresh, resid = _measure(lo, hi, new, frame[0])
     rows = np.concatenate((eps, np.concatenate((new, resid), axis=1)))
     np.minimum(rows[:len(eps), 3:], cut, out=rows[:len(eps), 3:])
-    tu.eps = _frozen(_eps(rows, np.concatenate((covered, fresh))))
+    tu.eps = _frozen(rows[~np.concatenate((covered, fresh))])
+
+
+_ORIGIN = _frozen(np.zeros((1, 3), dtype=np.int64))
 
 
 def eps_of_layout(tu: PackedTu) -> np.ndarray:
@@ -264,11 +283,11 @@ def eps_of_layout(tu: PackedTu) -> np.ndarray:
     if not tu.placements:
         return _origin_eps(tu.tu_type)
     lo, hi, nonstack = tu.corners
-    frame, origin = _frame(tu.tu_type), np.zeros((1, 3), dtype=np.int64)
-    cand = _candidate_points(lo, hi, ~nonstack, lo, hi)
-    pts = np.concatenate((origin, _unseen(cand, origin, frame)))
+    frame = _frame(tu.tu_type)
+    cand = _candidate_points(lo, hi, _TOP_RULES <= ~nonstack[:, None], tu.layout)
+    pts = np.concatenate((_ORIGIN, _unseen(cand, _ORIGIN, frame)))
     covered, resid = _measure(lo, hi, pts, frame[0])
-    return _frozen(_eps(np.concatenate((pts, resid), axis=1), covered))
+    return _frozen(np.concatenate((pts, resid), axis=1)[~covered])
 
 
 def _origin_eps(tut: TuType) -> np.ndarray:
@@ -276,46 +295,60 @@ def _origin_eps(tut: TuType) -> np.ndarray:
 
 
 class PackedTu(LoadedTu):
-    """A TU the packer loads, with the EP array and the ``corners`` of its
-    load, which ``add`` (``update_eps``) and ``remove_at`` (``eps_of_layout``)
-    keep in step. Both are replaced, never edited, so clones share them.
+    """A TU the packer loads, with the EP array and the layout of its load
+    (``layout`` and its ``corners``), which ``add`` (``update_eps``) and
+    ``remove_at`` (``eps_of_layout``) keep in step. All are replaced, never
+    edited, so clones share them, and empty TUs share one empty layout.
     ``PackedTu(tut, placements)`` derives its EPs from the layout."""
 
-    __slots__ = ("eps", "corners")
+    __slots__ = ("eps", "layout", "corners")
 
     def __init__(self, tu_type: TuType, placements=()):
         super().__init__(tu_type, placements)
-        self.corners = _corners(self.placements)
+        self.layout, self.corners = _layout(self.placements)
         self.eps = eps_of_layout(self) if self.placements else _origin_eps(tu_type)
 
     def clone(self) -> "PackedTu":
         twin = PackedTu.__new__(PackedTu)
         twin.tu_type, twin.placements = self.tu_type, list(self.placements)
-        twin.total_weight, twin.eps, twin.corners = self.total_weight, self.eps, self.corners
+        twin.total_weight, twin.eps = self.total_weight, self.eps
+        twin.layout, twin.corners = self.layout, self.corners
         return twin
 
     def add(self, placement: Placement):
         super().add(placement)
-        self.corners = tuple(np.concatenate((a, b), axis=-1)
-                             for a, b in zip(self.corners, _corners([placement])))
+        p = placement
+        column = ((p.x,), (p.y,), (p.z,), (p.x + p.w,), (p.y + p.l,), (p.z + p.h,))
+        self.layout, self.corners = _with_corners(
+            np.concatenate((self.layout, column), axis=1),
+            np.concatenate((self.corners[2], (not p.box.stackable,))))
         update_eps(self, placement)
 
     def remove_at(self, index: int) -> Placement:
         p = super().remove_at(index)
-        self.corners = _corners(self.placements)
+        self.layout, self.corners = _layout(self.placements)
         self.eps = eps_of_layout(self)
         return p
 
 
-def _corners(placements: list[Placement]):
-    """Lower and upper box corners as (3, P) int64 arrays, one row per axis,
-    plus a (P,) non-stackable mask."""
-    box = np.array(
-        [(p.x, p.y, p.z, p.w, p.l, p.h) for p in placements], dtype=np.int64
-    ).reshape(-1, 6).T
-    lo = np.ascontiguousarray(box[:3])
-    nonstack = np.array([not p.box.stackable for p in placements], dtype=bool)
-    return lo, lo + box[3:], nonstack
+def _with_corners(layout: np.ndarray, nonstack: np.ndarray):
+    """A layout and its ``corners``: lower and upper corner rows, and the
+    non-stackable mask."""
+    return layout, (layout[:3], layout[3:], nonstack)
+
+
+_EMPTY_LAYOUT = _with_corners(_frozen(np.zeros((6, 0), dtype=np.int64)),
+                              _frozen(np.zeros(0, dtype=bool)))
+
+
+def _layout(placements: list[Placement]):
+    """The (6, P) corner array of a load and its ``corners``; every empty
+    load shares one read-only value."""
+    if not placements:
+        return _EMPTY_LAYOUT
+    layout = np.array([(p.x, p.y, p.z, p.x + p.w, p.y + p.l, p.z + p.h) for p in placements],
+                      dtype=np.int64).T.copy()
+    return _with_corners(layout, np.array([not p.box.stackable for p in placements]))
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +360,11 @@ def _extents(box: BoxSpec) -> np.ndarray:
     return _frozen(np.array([(o.w, o.l, o.h) for o in enumerate_orientations(box)], dtype=np.int64))
 
 
-def _room(ep, ext):
+def _room(ep: np.ndarray, ext: np.ndarray):
     """The residual test: whether each extent fits within the EP's residual
-    maxima. ``ep`` unpacks to (x, y, z, rx, ry, rz) and ``ext`` to (w, l, h),
-    as scalars or broadcastable arrays."""
-    _, _, _, rx, ry, rz = ep
-    w, l, h = ext
-    return (w <= rx) & (l <= ry) & (h <= rz)
+    maxima. ``ep`` holds (x, y, z, rx, ry, rz) and ``ext`` (w, l, h) along
+    their first axis, as arrays that broadcast."""
+    return (ext <= ep[3:]).all(axis=0)
 
 
 def _fits(tu: PackedTu, anchors: np.ndarray, ext: np.ndarray, stackable: bool) -> np.ndarray:
@@ -365,14 +396,18 @@ def _box_part(ext, cp: CostParams):
     return cp.big_m * h + cp.big_n * cp.theta * (w + l)
 
 
-def _price(ep, ext, nbox: int, cp: CostParams):
+def _price(ep, ext, nbox: int, cp: CostParams, ep_part=None, box_part=None):
     """The pricing formula: the EP part, plus the orientation part, plus the
     modulo term, less nbox, summed in that order (``_floor`` relies on it).
     ``ep`` unpacks to (x, y, z, rx, ry, rz) and ``ext`` to (w, l, h), as
-    scalars or broadcastable arrays."""
-    _, _, _, rx, ry, _ = ep
-    w, l, _ = ext
-    return (_ep_part(ep, cp) + _box_part(ext, cp)) + cp.lam * ((rx % w) + (ry % l)) - nbox
+    scalars or broadcastable arrays; the parts, when given, are ``_ep_part``
+    of ``ep`` and ``_box_part`` of ``ext``, computed already."""
+    rx, ry, w, l = ep[3], ep[4], ext[0], ext[1]
+    if ep_part is None:
+        ep_part = _ep_part(ep, cp)
+    if box_part is None:
+        box_part = _box_part(ext, cp)
+    return (ep_part + box_part) + cp.lam * ((rx % w) + (ry % l)) - nbox
 
 
 def can_fit(tu: PackedTu, ep, ob: Orientation, box: BoxSpec | None = None) -> bool:
@@ -384,11 +419,11 @@ def can_fit(tu: PackedTu, ep, ob: Orientation, box: BoxSpec | None = None) -> bo
     within residuals still overlaps whenever an obstruction sits off the
     EP's axis rays, so stage two is never skipped.
     """
-    ext = (ob.w, ob.l, ob.h)
-    if not _room(ep, ext):
+    ext = np.array((ob.w, ob.l, ob.h))
+    if not _room(np.asarray(ep), ext):
         return False
     stackable = box.stackable if box is not None else True
-    return bool(_fits(tu, np.array([ep[:3]]), np.array([ext]), stackable)[0])
+    return bool(_fits(tu, np.array([ep[:3]]), ext[None], stackable)[0])
 
 
 def placement_cost(ep, ob: Orientation, nbox: int, cp: CostParams = DEFAULT_COST) -> float:
@@ -401,26 +436,31 @@ def placement_cost(ep, ob: Orientation, nbox: int, cp: CostParams = DEFAULT_COST
     return float(_price(ep, (ob.w, ob.l, ob.h), nbox, cp))
 
 
-def best_spot(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST):
+def best_spot(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST, *,
+              ep_part: np.ndarray | None = None, box_part: np.ndarray | None = None):
     """Cheapest feasible (EP, orientation) of a box in one TU, or None.
 
     Every (EP, orientation) pair that passes the residual test is priced at
     once and ranked by (cost, EP index, orientation index): a stable sort of
     the EP-major cost grid gives exactly that order. The ranked candidates
     are then fit-tested in order, and the first that fits wins. Weight
-    capacity is respected.
+    capacity is respected. ``ep_part`` (per EP) and ``box_part`` (per
+    orientation) are the price parts when a caller has them already
+    (``_cheapest``, from the pack memo); otherwise ``_price`` computes them.
     """
     eps = tu.eps
     if not len(eps) or tu.total_weight + box.weight > tu.tu_type.q:
         return None
     ext = _extents(box)
-    # (orientation, EP) grids, transposed to EP-major before ranking
-    cols, ocols = np.ascontiguousarray(eps.T)[:, None], ext.T[:, :, None]
+    # (EP, orientation) grids
+    cols, ocols = eps.T[:, :, None], ext.T[:, None]
     room = _room(cols, ocols)
     n = np.count_nonzero(room)
     if not n:
         return None
-    cost = np.where(room, _price(cols, ocols, tu.nbox, cp), np.inf).T.ravel()
+    if ep_part is not None:
+        ep_part = ep_part[:, None]
+    cost = np.where(room, _price(cols, ocols, tu.nbox, cp, ep_part, box_part), np.inf).ravel()
     rank = np.argsort(cost, kind="stable")[:n]
     if tu.placements:
         rank = _fitting(tu, eps, ext, rank, box.stackable)
@@ -439,7 +479,8 @@ def _fitting(tu: PackedTu, eps: np.ndarray, ext: np.ndarray, rank: np.ndarray, s
     start, size = 0, 4
     while start < len(rank):
         block = rank[start:start + size]
-        fits = _fits(tu, eps[block // len(ext), :3], ext[block % len(ext)], stackable)
+        ep_idx, oi = np.divmod(block, len(ext))
+        fits = _fits(tu, eps[ep_idx, :3], ext[oi], stackable)
         if fits.any():
             return rank[start + int(fits.argmax()):]
         start, size = start + size, size * 4
@@ -519,13 +560,14 @@ def _cheapest(tus: list[PackedTu], memos: list[_TuMemo], box: BoxSpec, cp: CostP
         elif (spot := spots[shape]) is not None and (best is None or spot[0] < best[0]):
             best = (spot[0], ti, spot[1], spot[2])
     if best is None and len(missing) == 1:
-        order = [(None, missing[0])]
+        order, box_part = [(None, missing[0])], None
     else:
         ext = _extents(box)
-        low, box_part = ext.min(axis=0), float(_box_part(ext.T, cp).min())
+        low, box_part = ext.min(axis=0), _box_part(ext.T, cp)
+        least = float(box_part.min())
         order = []
         for ti in missing:
-            floor = _floor(tus[ti], memos[ti], low, box_part, cp)
+            floor = _floor(tus[ti], memos[ti], low, least, cp)
             if floor is None:
                 memos[ti].spots[shape] = None
             else:
@@ -534,7 +576,8 @@ def _cheapest(tus: list[PackedTu], memos: list[_TuMemo], box: BoxSpec, cp: CostP
     for floor, ti in order:
         if best is not None and (floor, ti) > best[:2]:
             continue
-        spot = memos[ti].spots[shape] = best_spot(tus[ti], box, cp)
+        spot = memos[ti].spots[shape] = best_spot(tus[ti], box, cp, ep_part=memos[ti].ep_part,
+                                                  box_part=box_part)
         if spot is not None and (best is None or (spot[0], ti) < best[:2]):
             best = (spot[0], ti, spot[1], spot[2])
     return best

@@ -189,6 +189,44 @@ def test_batch_fails_on_a_broken_partition(workspace, monkeypatch, capsys):
     assert "1 violations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_reports_a_failed_solve_and_goes_on(workspace, capsys, jobs):
+    """A box that fits no TU type fails its instance's solve, in-process or
+    in a worker: the batch prints one line for it, reports the instance
+    that solved and exits 1."""
+    some = workspace / "some"
+    some.mkdir()
+    good = (workspace / "inst" / "gen001_s3.inst.txt").read_text()
+    (some / "a.inst.txt").write_text(good)
+    (some / "b.inst.txt").write_text(good.replace("name gen001_s3", "name big")
+                                     + "box big1 500 500 500 1 0 0 1\n")
+    out = workspace / "r"
+    rc = run_cli("batch", "--instances", some, "--out", out, "--omegas", "95", "--jobs", jobs)
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"{some / 'b.inst.txt'} omega=95.0: solve failed: box 'big1' fits no "
+                   "available transport unit type"]
+    per = (out / "per_instance.csv").read_text().splitlines()
+    assert len(per) == 2 and per[1].startswith("gen001_s3,")
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("95.0,1,")
+
+
+def test_batch_summaries_keep_the_omega_whose_solves_all_failed(workspace, monkeypatch):
+    import tupack.cli
+
+    def no_solve(*args):
+        raise RuntimeError("no solve")
+
+    monkeypatch.setattr(tupack.cli, "solve", no_solve)
+    out = workspace / "r"
+    assert run_cli("batch", "--instances", workspace / "inst", "--out", out,
+                   "--omegas", "75,95") == 1
+    assert (out / "per_instance.csv").read_text().splitlines()[1:] == []
+    for name in ("summary.csv", "local_search.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["75.0", "95.0"]
+
+
 def test_solve_writes_no_invalid_solution(workspace, monkeypatch, capsys):
     import tupack.cli
 

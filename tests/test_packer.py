@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,7 +36,18 @@ from tupack.packer import (
     placement_cost,
     sort_boxes,
 )
-from tupack.packer import _box_part, _cheapest, _extents, _floor, _price, _room, _TuMemo
+from tupack.packer import (
+    _box_part,
+    _cheapest,
+    _extents,
+    _floor,
+    _frame,
+    _measure,
+    _price,
+    _room,
+    _TuMemo,
+    _unseen,
+)
 
 from conftest import EURO_PALLET, WORKED_EXAMPLE_EPS, ep_list
 
@@ -808,3 +820,132 @@ def test_plain_loaded_tu_has_no_eps_for_the_packer():
         best_spot(tu, box)
     with pytest.raises(AttributeError):
         place_best(tu, box)
+
+
+def test_empty_tus_share_one_read_only_layout():
+    a, b = PackedTu(T_120_80_160), PackedTu(T_SMALL)
+    assert a.layout is b.layout and a.corners is b.corners
+    assert a.layout.shape == (6, 0) and a.corners[2].shape == (0,)
+    assert not any(arr.flags.writeable for arr in (a.layout, *a.corners))
+    place_best(a, free_box("one", 10, 20, 30))
+    assert a.layout.shape == (6, 1) and b.layout.shape == (6, 0)
+    assert b.corners[2].shape == (0,) and ep_list(b.eps) == [ExtremePoint(0, 0, 0, 90, 70, 80)]
+    # emptied again, a TU goes back to the shared value
+    a.remove_at(0)
+    assert a.layout is b.layout and a.corners is b.corners
+
+
+def _ref_corners(placements):
+    """A load's corner rows and non-stackable mask, from the placements."""
+    lo = [[p.x for p in placements], [p.y for p in placements], [p.z for p in placements]]
+    hi = [[p.x + p.w for p in placements], [p.y + p.l for p in placements],
+          [p.z + p.h for p in placements]]
+    return lo, hi, [not p.box.stackable for p in placements]
+
+
+def _corners_are_the_layouts(tu):
+    lo, hi, nonstack = tu.corners
+    assert (lo.tolist(), hi.tolist(), nonstack.tolist()) == _ref_corners(tu.placements)
+    assert tu.layout.tolist() == lo.tolist() + hi.tolist()
+    assert lo.dtype == hi.dtype == np.int64 and nonstack.dtype == bool
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16))
+def test_corners_follow_every_add_and_remove(seed):
+    """After every ``add`` and ``remove_at`` of random packs with rotation
+    flags and non-stackable boxes, and on a clone and its original that each
+    add another box, ``corners`` are the placements' corners."""
+    rng = random.Random(seed)
+    tus, _ = _pack_without_memo(T_SMALL, _random_boxes(rng, 16),
+                                after_place=lambda tu, before, p: _corners_are_the_layouts(tu))
+    for tu in tus:
+        twin = tu.clone()
+        for one, box in ((tu, free_box("a", 5, 6, 7)), (twin, free_box("b", 4, 3, 2, stackable=False))):
+            place_best(one, box)
+        for one in (tu, twin):
+            _corners_are_the_layouts(one)
+            while one.placements:
+                one.remove_at(rng.randrange(one.nbox))
+                _corners_are_the_layouts(one)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cp=_cost_params(), seed=st.integers(0, 2**16))
+def test_best_spot_from_the_memo_parts_equals_best_spot_alone(cp, seed):
+    """``best_spot`` handed the EP parts ``_floor`` leaves in the memo and the
+    orientation parts ``_cheapest`` computes returns the same cost, bit for
+    bit, EP and orientation as ``best_spot`` computing them itself."""
+    rng = random.Random(seed)
+    states = [PackedTu(T_SMALL)]
+    _pack_without_memo(T_SMALL, _random_boxes(rng, 16), cp=cp,
+                       after_place=lambda tu, before, p: states.append(tu.clone()))
+    for tu in states:
+        for box in _random_boxes(rng, 3):
+            ext, memo = _extents(box), _TuMemo()
+            box_part = _box_part(ext.T, cp)
+            _floor(tu, memo, ext.min(axis=0), float(box_part.min()), cp)
+            given = best_spot(tu, box, cp, ep_part=memo.ep_part, box_part=box_part)
+            alone = best_spot(tu, box, cp)
+            assert (given is None) == (alone is None)
+            if given is not None:
+                assert (given[0].hex(), *given[1:]) == (alone[0].hex(), *alone[1:])
+
+
+def _ref_unseen(pts, seeds, frame):
+    """The comparison-matrix dedupe: a point is kept when the first of the
+    seeds and points with its (wall-clamped) cell number is itself, and when
+    it lies inside the walls."""
+    dims, scale = frame
+    seen = np.concatenate((seeds, np.minimum(pts, dims))) @ scale
+    key = seen[len(seeds):]
+    first = (key[:, None] == seen).argmax(axis=1) == np.arange(len(seeds), len(seen))
+    return pts[first & (pts < dims).all(axis=1)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)), data=st.data())
+def test_unseen_equals_the_comparison_matrix_dedupe(dims, data):
+    """Points drawn from a small pool (so they repeat), on the walls and
+    inside, against seeds inside the TU."""
+    frame = _frame(TuType("t", *dims, 1))
+    inside = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    on_or_in = st.tuples(*(st.integers(0, d) for d in dims))
+    seeds = data.draw(st.lists(inside, max_size=6))
+    pool = data.draw(st.lists(on_or_in, min_size=1, max_size=8))
+    pts = data.draw(st.lists(st.sampled_from(pool + seeds), min_size=1, max_size=20))
+    pts, seeds = (np.array(rows, dtype=np.int64).reshape(-1, 3) for rows in (pts, seeds))
+    assert _unseen(pts, seeds, frame).tolist() == _ref_unseen(pts, seeds, frame).tolist()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16))
+def test_an_uncovered_old_ep_keeps_room_after_the_cut(seed):
+    """Cut against the new box alone, every old EP the box does not cover
+    keeps a positive residual on every axis, so ``update_eps`` needs no room
+    test on the old rows."""
+    rng = random.Random(seed)
+    cuts = 0
+
+    def check(tu, before, p):
+        nonlocal cuts
+        old = tu.eps  # the array as it was before this placement's update
+        covered, cut = _measure(tu.layout[:3, -1:], tu.layout[3:, -1:], old[:, :3],
+                                _frame(tu.tu_type)[0])
+        assert (np.minimum(old[~covered, 3:], cut[~covered]) > 0).all()
+        cuts += 1
+
+    import tupack.packer as packer
+
+    real = packer.update_eps
+
+    def checked_update(tu, placed):
+        check(tu, None, placed)
+        real(tu, placed)
+
+    try:
+        packer.update_eps = checked_update
+        _pack_without_memo(T_SMALL, _random_boxes(rng, 16))
+    finally:
+        packer.update_eps = real
+    assert cuts

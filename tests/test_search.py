@@ -129,6 +129,18 @@ def test_initialize_raises_for_unpackable_box():
         initialize(inst, TypePointer([T1]), COST, SORT)
 
 
+def test_box_unpackable_error_survives_pickling():
+    """A process pool pickles a worker's exception: it comes back with its
+    box id and message intact."""
+    import pickle
+
+    from tupack.geometry import BoxUnpackableError
+
+    err = pickle.loads(pickle.dumps(BoxUnpackableError("big1")))
+    assert type(err) is BoxUnpackableError and err.box_id == "big1"
+    assert str(err) == "box 'big1' fits no available transport unit type"
+
+
 # ---------------------------------------------------------------------------
 # N1 relocation
 
