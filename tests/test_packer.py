@@ -861,8 +861,8 @@ def test_corners_follow_every_add_and_remove(seed):
                                 after_place=lambda tu, before, p: _corners_are_the_layouts(tu))
     for tu in tus:
         twin = tu.clone()
-        for one, box in ((tu, free_box("a", 5, 6, 7)), (twin, free_box("b", 4, 3, 2, stackable=False))):
-            place_best(one, box)
+        place_best(tu, free_box("a", 5, 6, 7))
+        place_best(twin, free_box("b", 4, 3, 2, stackable=False))
         for one in (tu, twin):
             _corners_are_the_layouts(one)
             while one.placements:
@@ -924,28 +924,19 @@ def test_an_uncovered_old_ep_keeps_room_after_the_cut(seed):
     """Cut against the new box alone, every old EP the box does not cover
     keeps a positive residual on every axis, so ``update_eps`` needs no room
     test on the old rows."""
-    rng = random.Random(seed)
-    cuts = 0
-
-    def check(tu, before, p):
-        nonlocal cuts
-        old = tu.eps  # the array as it was before this placement's update
-        covered, cut = _measure(tu.layout[:3, -1:], tu.layout[3:, -1:], old[:, :3],
-                                _frame(tu.tu_type)[0])
-        assert (np.minimum(old[~covered, 3:], cut[~covered]) > 0).all()
-        cuts += 1
-
     import tupack.packer as packer
 
-    real = packer.update_eps
+    real, cuts = packer.update_eps, []
 
     def checked_update(tu, placed):
-        check(tu, None, placed)
+        old, box = tu.eps, tu.layout[:, -1:]
+        covered, cut = _measure(box[:3], box[3:], old[:, :3], _frame(tu.tu_type)[0])
+        cuts.append((np.minimum(old[~covered, 3:], cut[~covered]) > 0).all())
         real(tu, placed)
 
+    packer.update_eps = checked_update
     try:
-        packer.update_eps = checked_update
-        _pack_without_memo(T_SMALL, _random_boxes(rng, 16))
+        _pack_without_memo(T_SMALL, _random_boxes(random.Random(seed), 16))
     finally:
         packer.update_eps = real
-    assert cuts
+    assert cuts and all(cuts)
