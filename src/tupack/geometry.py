@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 
 class EmptyTuError(ValueError):
@@ -78,6 +77,12 @@ class BoxSpec:
         """Volume in cubic centimeters."""
         return self.width * self.length * self.height
 
+    @property
+    def shape(self) -> tuple[int, int, int, bool, bool, bool]:
+        """Everything packing reads of the box but its id and weight: the
+        raw extents, the rotation flags and stackability."""
+        return (self.width, self.length, self.height, self.txz, self.tyz, self.stackable)
+
 
 @dataclass(frozen=True)
 class Orientation:
@@ -100,13 +105,13 @@ def orientation_allowed(box: BoxSpec, code: str) -> bool:
     return {"w": box.txz, "l": box.tyz, "h": True}[code[2]]
 
 
-@lru_cache(maxsize=4096)
 def enumerate_orientations(box: BoxSpec) -> tuple[Orientation, ...]:
     """All allowed axis assignments of ``box``, deduplicated by extent triple.
 
     Codes are filtered by the rotation flags: assignments placing the raw
     width on Z require ``txz``, the raw length on Z requires ``tyz``. Order
-    follows ORIENTATION_CODES; duplicates keep the earliest code.
+    follows ORIENTATION_CODES; duplicates keep the earliest code. The
+    packer caches the answer per ``BoxSpec.shape``.
     """
     out: list[Orientation] = []
     seen: set[tuple[int, int, int]] = set()

@@ -13,6 +13,7 @@ the generated instances rely on, never fall to float rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .geometry import TuType, check_nonnegative
 
@@ -58,6 +59,11 @@ def _scaled(demand: DemandPoint, catalog: list[TuType]):
     return vols, caps, need_v, need_w
 
 
+def _suffix_min(values: list[float]) -> list[float]:
+    """Per index i, the least of ``values[i:]``."""
+    return list(accumulate(reversed(values), min))[::-1]
+
+
 def _objective_liters(counts, vols_cm3, beta: float) -> float:
     return sum(c * v for c, v in zip(counts, vols_cm3)) / 1000.0 + beta * sum(counts)
 
@@ -69,7 +75,8 @@ def solve_lower_bound(
 
     Branches over per-type counts with two prunes: the partial objective
     against the incumbent, and an optimistic completion cost from the best
-    cost-per-volume and cost-per-weight ratios in the catalog. Ties resolve
+    cost-per-volume and cost-per-weight ratios among the types still open.
+    The last type takes the one count that covers the rest. Ties resolve
     to the lexicographically smallest count vector over catalog order.
     Raises ``ValueError`` when the demand needs more than ``MAX_COVER_TUS``
     TUs of the catalog's largest volume or capacity, or when the objective of
@@ -89,8 +96,10 @@ def solve_lower_bound(
     # per-TU objective in milli-liters keeps the search arithmetic integral
     # for integral 1000*beta; float beta still compares exactly at this scale
     unit_cost = [v + beta * 1000.0 for v in vols]
-    rate_v = min(unit_cost[i] / vols[i] for i in range(n))
-    rate_w = min(unit_cost[i] / caps[i] for i in range(n))
+    # per type i, the least cost per cm^3 and per gram of types i..n-1, the
+    # ones a completion from type i may still add
+    rate_v = _suffix_min([unit_cost[i] / vols[i] for i in range(n)])
+    rate_w = _suffix_min([unit_cost[i] / caps[i] for i in range(n)])
 
     best: list = [float("inf"), None]
     counts = [0] * n
@@ -110,8 +119,8 @@ def solve_lower_bound(
         if i == n:
             return
         floor = max(
-            rate_v * rem_v if rem_v > 0 else 0.0,
-            rate_w * rem_w if rem_w > 0 else 0.0,
+            rate_v[i] * rem_v if rem_v > 0 else 0.0,
+            rate_w[i] * rem_w if rem_w > 0 else 0.0,
         )
         if cur + floor > best[0]:
             return
@@ -121,7 +130,8 @@ def solve_lower_bound(
             ceil_div(rem_v, vols[i]) if rem_v > 0 else 0,
             ceil_div(rem_w, caps[i]) if rem_w > 0 else 0,
         )
-        for c in range(hi, -1, -1):
+        # at the last type any count below hi leaves the demand uncovered
+        for c in range(hi, -1 if i < n - 1 else hi - 1, -1):
             counts[i] = c
             dfs(i + 1, cur + c * unit_cost[i], rem_v - c * vols[i], rem_w - c * caps[i])
         counts[i] = 0

@@ -14,6 +14,7 @@ vectorized over many points or candidates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -94,7 +95,7 @@ class PackResult:
 
 def min_height_orientation(box: BoxSpec) -> Orientation:
     """The allowed orientation with the smallest Z extent (ties: code order)."""
-    return min(enumerate_orientations(box), key=lambda o: o.h)
+    return min(_oriented(box.shape)[0], key=lambda o: o.h)
 
 
 def sort_boxes(boxes: list[BoxSpec], tut: TuType, sp: SortParams = DEFAULT_SORT) -> list[BoxSpec]:
@@ -237,12 +238,12 @@ def _candidate_points(lo, hi, rules: np.ndarray, boxes: np.ndarray) -> np.ndarra
 
 
 @lru_cache(maxsize=64)
-def _frame(tut: TuType) -> np.ndarray:
-    """The TU's dimensions, and the weights that number the cells of the TU
-    with its walls: a point (x, y, z) inside or on a wall is cell
-    x(Y+1)(Z+1) + y(Z+1) + z."""
-    return _frozen(np.array(((tut.x, tut.y, tut.z), ((tut.y + 1) * (tut.z + 1), tut.z + 1, 1)),
-                            dtype=np.int64))
+def _frame(x: int, y: int, z: int) -> np.ndarray:
+    """The dimensions of a TU (X, Y, Z), and the weights that number the
+    cells of the TU with its walls: a point (x, y, z) inside or on a wall
+    is cell x(Y+1)(Z+1) + y(Z+1) + z. Keyed on the dimensions, which hash
+    in C, not on the ``TuType``."""
+    return _frozen(np.array(((x, y, z), ((y + 1) * (z + 1), z + 1, 1)), dtype=np.int64))
 
 
 def update_eps(tu: PackedTu, placed: Placement):
@@ -261,8 +262,8 @@ def update_eps(tu: PackedTu, placed: Placement):
     earlier one or an old EP point; each survivor that no box covers has room.
     """
     lo, hi, _ = tu.corners
-    box = tu.layout[:, -1:]
-    frame, eps = _frame(tu.tu_type), tu.eps
+    box, tut = tu.layout[:, -1:], tu.tu_type
+    frame, eps = _frame(tut.x, tut.y, tut.z), tu.eps
     covered, cut = _measure(box[:3], box[3:], eps[:, :3], frame[0])
     cand = _candidate_points(lo, hi, _RULES_OF[placed.box.stackable], box)
     new = _unseen(cand, eps[:, :3], frame)
@@ -283,7 +284,8 @@ def eps_of_layout(tu: PackedTu) -> np.ndarray:
     if not tu.placements:
         return _origin_eps(tu.tu_type)
     lo, hi, nonstack = tu.corners
-    frame = _frame(tu.tu_type)
+    tut = tu.tu_type
+    frame = _frame(tut.x, tut.y, tut.z)
     cand = _candidate_points(lo, hi, _TOP_RULES <= ~nonstack[:, None], tu.layout)
     pts = np.concatenate((_ORIGIN, _unseen(cand, _ORIGIN, frame)))
     covered, resid = _measure(lo, hi, pts, frame[0])
@@ -297,8 +299,9 @@ def _origin_eps(tut: TuType) -> np.ndarray:
 class PackedTu(LoadedTu):
     """A TU the packer loads, with the EP array and the layout of its load
     (``layout`` and its ``corners``), which ``add`` (``update_eps``) and
-    ``remove_at`` (``eps_of_layout``) keep in step. All are replaced, never
-    edited, so clones share them, and empty TUs share one empty layout.
+    ``remove_at`` (``eps_of_layout``) keep in step. All are read-only and
+    replaced, never edited, so clones share them, TUs of one layout in a
+    pack share them (``take``), and empty TUs share one empty layout.
     ``PackedTu(tut, placements)`` derives its EPs from the layout."""
 
     __slots__ = ("eps", "layout", "corners")
@@ -324,6 +327,12 @@ class PackedTu(LoadedTu):
             np.concatenate((self.corners[2], (not p.box.stackable,))))
         update_eps(self, placement)
 
+    def take(self, placement: Placement, node: "_Node"):
+        """``add`` the placement, taking the arrays ``add`` would build from
+        the pack's node of this TU's layout plus the placement."""
+        super().add(placement)
+        self.eps, self.layout, self.corners = node.eps, node.layout, node.corners
+
     def remove_at(self, index: int) -> Placement:
         p = super().remove_at(index)
         self.layout, self.corners = _layout(self.placements)
@@ -333,12 +342,12 @@ class PackedTu(LoadedTu):
 
 def _with_corners(layout: np.ndarray, nonstack: np.ndarray):
     """A layout and its ``corners``: lower and upper corner rows, and the
-    non-stackable mask."""
-    return layout, (layout[:3], layout[3:], nonstack)
+    non-stackable mask, all read-only."""
+    layout = _frozen(layout)
+    return layout, (layout[:3], layout[3:], _frozen(nonstack))
 
 
-_EMPTY_LAYOUT = _with_corners(_frozen(np.zeros((6, 0), dtype=np.int64)),
-                              _frozen(np.zeros(0, dtype=bool)))
+_EMPTY_LAYOUT = _with_corners(np.zeros((6, 0), dtype=np.int64), np.zeros(0, dtype=bool))
 
 
 def _layout(placements: list[Placement]):
@@ -355,9 +364,14 @@ def _layout(placements: list[Placement]):
 # Fit test and pricing
 
 @lru_cache(maxsize=4096)
-def _extents(box: BoxSpec) -> np.ndarray:
-    """(O, 3) extents of the box's allowed orientations, in enumeration order."""
-    return _frozen(np.array([(o.w, o.l, o.h) for o in enumerate_orientations(box)], dtype=np.int64))
+def _oriented(shape: tuple) -> tuple[tuple[Orientation, ...], np.ndarray]:
+    """The allowed orientations of every box of this ``BoxSpec.shape``
+    (``enumerate_orientations``), and their (O, 3) extents. Keyed on the
+    shape, a tuple that hashes and compares in C and that boxes alike but
+    for id and weight share; a ``BoxSpec`` key would run its dataclass
+    ``__hash__`` and ``__eq__`` on every lookup."""
+    oris = enumerate_orientations(BoxSpec("", *shape[:3], 0, *shape[3:]))
+    return oris, _frozen(np.array([(o.w, o.l, o.h) for o in oris], dtype=np.int64))
 
 
 def _room(ep: np.ndarray, ext: np.ndarray):
@@ -451,7 +465,7 @@ def best_spot(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST, *,
     eps = tu.eps
     if not len(eps) or tu.total_weight + box.weight > tu.tu_type.q:
         return None
-    ext = _extents(box)
+    oris, ext = _oriented(box.shape)
     # (EP, orientation) grids
     cols, ocols = eps.T[:, :, None], ext.T[:, None]
     room = _room(cols, ocols)
@@ -467,7 +481,7 @@ def best_spot(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST, *,
         if not len(rank):
             return None
     ep_idx, oi = divmod(int(rank[0]), len(ext))
-    return float(cost[rank[0]]), ep_idx, enumerate_orientations(box)[oi]
+    return float(cost[rank[0]]), ep_idx, oris[oi]
 
 
 def _fitting(tu: PackedTu, eps: np.ndarray, ext: np.ndarray, rank: np.ndarray, stackable: bool):
@@ -511,7 +525,7 @@ def fits_empty(box: BoxSpec, tut: TuType) -> bool:
         return False
     return any(
         o.w <= tut.x and o.l <= tut.y and o.h <= tut.z
-        for o in enumerate_orientations(box)
+        for o in _oriented(box.shape)[0]
     )
 
 
@@ -526,71 +540,86 @@ def fits_empty(box: BoxSpec, tut: TuType) -> bool:
 # least EP part over the EPs whose residuals reach the box's smallest extent
 # on every axis.
 
-class _TuMemo:
-    """``pack_3dbp``'s memo of one TU, valid until a box is placed in it:
-    the ``best_spot`` answer per box shape, and the EP parts of its prices."""
+class _Node:
+    """A layout in ``pack_3dbp``'s trie: one sequence of placements, held by
+    every TU of the pack whose load it is. It keeps the arrays of that load
+    (``PackedTu.take`` hands them to a TU that reaches it), the
+    ``best_spot`` answer per box shape and the EP parts of the prices, and
+    its ``children``: the layouts one placement further, keyed by that
+    placement's orientation code, anchor and box shape.
 
-    __slots__ = ("spots", "ep_part")
+    The EPs and corners are a function of the placements. Past the weight
+    check, which ``_cheapest`` makes per TU before it reads a node, a
+    ``best_spot`` answer is a function of those arrays, the box count, the
+    box shape and the pricing constants, so every TU at the node reads it."""
 
-    def __init__(self):
+    __slots__ = ("eps", "layout", "corners", "spots", "ep_part", "children")
+
+    def __init__(self, tu: PackedTu):
+        self.eps, self.layout, self.corners = tu.eps, tu.layout, tu.corners
         self.spots: dict = {}
         self.ep_part: np.ndarray | None = None
+        self.children: dict = {}
 
 
-def _cheapest(tus: list[PackedTu], memos: list[_TuMemo], box: BoxSpec, cp: CostParams):
+def _cheapest(tus: list[PackedTu], nodes: list[_Node], box: BoxSpec, shape: tuple,
+              cp: CostParams):
     """The box's cheapest spot over the open TUs as (cost, TU index, EP
     index, orientation), ties to the lowest TU index; None when none has one.
 
-    A TU's ``best_spot`` answer depends on the box only through its shape
-    (extents, rotation flags, stackability), so memoized answers are read
-    first. ``best_spot`` then runs on the other TUs in order of their price
-    floors, and a TU is skipped when its (floor, TU index) is above the
-    best (cost, TU index) so far, which it then can never beat.
-    A TU with no EP that reaches the box's smallest extents gets None
-    without a call. The weight check stays per box.
+    A TU's ``best_spot`` answer depends on the box only through its
+    ``shape``, so the answers of the TUs' nodes are read first. Of the TUs
+    that share a node only the first can win a tie, so ``best_spot`` runs
+    on that one alone, and on the other nodes' first TUs in order of their
+    price floors; a TU is skipped when its (floor, TU index) is above the
+    best (cost, TU index) so far, which it then can never beat. A TU with
+    no EP that reaches the box's smallest extents gets None without a call.
+    The weight check stays per TU.
     """
-    shape = (box.width, box.length, box.height, box.txz, box.tyz, box.stackable)
-    best, missing = None, []
+    best, missing = None, {}
     for ti, tu in enumerate(tus):
         if tu.total_weight + box.weight > tu.tu_type.q:
             continue
-        spots = memos[ti].spots
+        node = nodes[ti]
+        spots = node.spots
         if shape not in spots:
-            missing.append(ti)
+            missing.setdefault(node, ti)
         elif (spot := spots[shape]) is not None and (best is None or spot[0] < best[0]):
             best = (spot[0], ti, spot[1], spot[2])
+    if not missing:
+        return best
     if best is None and len(missing) == 1:
-        order, box_part = [(None, missing[0])], None
+        order, box_part = [(None, ti, node) for node, ti in missing.items()], None
     else:
-        ext = _extents(box)
+        ext = _oriented(shape)[1]
         low, box_part = ext.min(axis=0), _box_part(ext.T, cp)
         least = float(box_part.min())
         order = []
-        for ti in missing:
-            floor = _floor(tus[ti], memos[ti], low, least, cp)
+        for node, ti in missing.items():
+            floor = _floor(tus[ti], node, low, least, cp)
             if floor is None:
-                memos[ti].spots[shape] = None
+                node.spots[shape] = None
             else:
-                order.append((floor, ti))
-        order.sort()
-    for floor, ti in order:
+                order.append((floor, ti, node))
+        order.sort()  # (floor, TU index) pairs are distinct: nodes never compare
+    for floor, ti, node in order:
         if best is not None and (floor, ti) > best[:2]:
             continue
-        spot = memos[ti].spots[shape] = best_spot(tus[ti], box, cp, ep_part=memos[ti].ep_part,
-                                                  box_part=box_part)
+        spot = node.spots[shape] = best_spot(tus[ti], box, cp, ep_part=node.ep_part,
+                                             box_part=box_part)
         if spot is not None and (best is None or (spot[0], ti) < best[:2]):
             best = (spot[0], ti, spot[1], spot[2])
     return best
 
 
-def _floor(tu: PackedTu, memo: _TuMemo, low: np.ndarray, box_part: float, cp: CostParams):
+def _floor(tu: PackedTu, node: _Node, low: np.ndarray, box_part: float, cp: CostParams):
     """The TU's price floor for a box of smallest extents ``low`` (per axis)
     and least orientation part ``box_part``; None when no EP's residuals
     reach ``low`` on every axis, so that no (EP, orientation) passes
-    ``_room``. Fills in the memo's EP parts."""
-    if memo.ep_part is None:
-        memo.ep_part = _ep_part(tu.eps.T, cp)
-    parts = memo.ep_part[(tu.eps[:, 3:] >= low).all(axis=1)]
+    ``_room``. Fills in the EP parts of the TU's node."""
+    if node.ep_part is None:
+        node.ep_part = _ep_part(tu.eps.T, cp)
+    parts = node.ep_part[(tu.eps[:, 3:] >= low).all(axis=1)]
     if not len(parts):
         return None
     return float(parts.min()) + box_part - tu.nbox
@@ -615,27 +644,48 @@ def pack_3dbp(
     ``max_tus`` caps the TUs this call opens: the pack stops at the first box
     that would need one more, and reports that box and every later one (in
     insertion order) unplaced. Up to that box it is the uncapped pack.
+
+    TUs that repeat a placement sequence share its ``_Node``: every TU
+    starts at one root, and a placement whose child node exists takes the
+    child's arrays instead of running ``update_eps``. A child is linked into
+    its parent only for a box shape that occurs more than once in the pack,
+    since only such a placement can repeat; the trie lives for this call.
     """
     tus: list[PackedTu] = []
-    memos: list[_TuMemo] = []
+    nodes: list[_Node] = []
     unplaced: list[BoxSpec] = []
     order = sort_boxes(boxes, tut, sp)
-    for i, box in enumerate(order):
+    shapes = [box.shape for box in order]
+    repeated = {shape for shape, n in Counter(shapes).items() if n > 1}
+    root = _Node(PackedTu(tut))
+    for i, (box, shape) in enumerate(zip(order, shapes)):
         if not fits_empty(box, tut):
             unplaced.append(box)
             continue
-        best = _cheapest(tus, memos, box, cp)
+        best = _cheapest(tus, nodes, box, shape, cp)
         if best is None:
             if len(tus) == max_tus:
                 unplaced.extend(order[i:])
                 break
-            tu = PackedTu(tut)
+            ti, tu, node = len(tus), PackedTu(tut), root
             tus.append(tu)
-            memos.append(_TuMemo())
-            _, ep_idx, ob = best_spot(tu, box, cp)
+            nodes.append(root)
+            if shape not in root.spots:
+                root.spots[shape] = best_spot(tu, box, cp)
+            _, ep_idx, ob = root.spots[shape]
         else:
             _, ti, ep_idx, ob = best
-            tu = tus[ti]
-            memos[ti] = _TuMemo()
-        place_box(tu, box, ob, tu.eps[ep_idx])
+            tu, node = tus[ti], nodes[ti]
+        x, y, z = node.eps[ep_idx, :3].tolist()
+        placed = Placement.of(box, ob, x, y, z)
+        key = (ob.code, x, y, z, shape)
+        child = node.children.get(key)
+        if child is None:
+            tu.add(placed)
+            child = _Node(tu)
+            if shape in repeated:
+                node.children[key] = child
+        else:
+            tu.take(placed, child)
+        nodes[ti] = child
     return PackResult(tus, unplaced)

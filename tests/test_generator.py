@@ -145,6 +145,60 @@ def test_lower_bound_covering_constraints_hold():
         assert wgt * 1000 >= round(d.weight_kg * 1000)
 
 
+def reference_lower_bound(demand: DemandPoint, catalog: list[TuType], beta: float) -> LowerBound:
+    """The covering search with the catalog-wide cost rates in its floor and
+    every count of every type tried: ``solve_lower_bound`` before it took the
+    rates over the open types and one count of the last type."""
+    n = len(catalog)
+    vols, caps, need_v, need_w = _scaled(demand, catalog)
+    if need_v == 0 and need_w == 0:
+        return LowerBound((0,) * n, 0.0)
+    unit_cost = [v + beta * 1000.0 for v in vols]
+    rate_v = min(unit_cost[i] / vols[i] for i in range(n))
+    rate_w = min(unit_cost[i] / caps[i] for i in range(n))
+    best: list = [float("inf"), None]
+    counts = [0] * n
+
+    def dfs(i: int, cur: float, rem_v: int, rem_w: int):
+        if rem_v <= 0 and rem_w <= 0:
+            if cur < best[0] or (cur == best[0] and best[1] is not None
+                                 and tuple(counts) < best[1]):
+                best[0], best[1] = cur, tuple(counts)
+            return
+        if i == n:
+            return
+        floor = max(rate_v * rem_v if rem_v > 0 else 0.0, rate_w * rem_w if rem_w > 0 else 0.0)
+        if cur + floor > best[0]:
+            return
+        hi = max(-(-rem_v // vols[i]) if rem_v > 0 else 0, -(-rem_w // caps[i]) if rem_w > 0 else 0)
+        for c in range(hi, -1, -1):
+            counts[i] = c
+            dfs(i + 1, cur + c * unit_cost[i], rem_v - c * vols[i], rem_w - c * caps[i])
+        counts[i] = 0
+
+    dfs(0, 0.0, need_v, need_w)
+    return LowerBound(best[1], _objective_liters(best[1], vols, beta))
+
+
+@pytest.mark.parametrize("beta", [0.0, 37.5, 100.0])
+def test_lower_bound_equals_the_reference_search_on_the_builtins(beta):
+    for volume, weight in BUILTIN_DEMANDS:
+        d = DemandPoint(volume, weight)
+        assert solve_lower_bound(d, DEFAULT_CATALOG, beta) == reference_lower_bound(
+            d, DEFAULT_CATALOG, beta)
+
+
+def test_lower_bound_equals_the_reference_search_on_weight_bound_demands():
+    """Demands whose weight needs more TUs than their volume, so the weight
+    rate sets the floor, under fractional and whole betas."""
+    rng = random.Random(22)
+    for _ in range(300):
+        d = DemandPoint(rng.uniform(0, 12), rng.uniform(2000, 17000))
+        beta = rng.choice([0.0, 37.5, 100.0, rng.uniform(0, 300)])
+        assert solve_lower_bound(d, DEFAULT_CATALOG, beta) == reference_lower_bound(
+            d, DEFAULT_CATALOG, beta)
+
+
 # ---------------------------------------------------------------------------
 # partition schemes
 

@@ -39,13 +39,13 @@ from tupack.packer import (
 from tupack.packer import (
     _box_part,
     _cheapest,
-    _extents,
     _floor,
     _frame,
     _measure,
     _price,
     _room,
-    _TuMemo,
+    _Node,
+    _oriented,
     _unseen,
 )
 
@@ -455,7 +455,7 @@ def test_pack_prefers_fuller_tu_on_cost_ties():
     place_box(a, bx2, enumerate_orientations(bx2)[0], a.eps[0])
     z = BoxSpec("z", 40, 40, 40)
     assert best_spot(a, z)[0] == best_spot(b, z)[0] - 1
-    assert _cheapest([b, a], [_TuMemo(), _TuMemo()], z, DEFAULT_COST)[1] == 1
+    assert _cheapest([b, a], [_Node(b), _Node(a)], z, z.shape, DEFAULT_COST)[1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +735,8 @@ def test_floor_is_below_every_room_passing_price(cp, seed):
                        after_place=lambda tu, before, p: states.append(tu.clone()))
     for tu in states:
         for box in _random_boxes(rng, 3):
-            ext = _extents(box)
-            floor = _floor(tu, _TuMemo(), ext.min(axis=0), float(_box_part(ext.T, cp).min()), cp)
+            ext = _oriented(box.shape)[1]
+            floor = _floor(tu, _Node(tu), ext.min(axis=0), float(_box_part(ext.T, cp).min()), cp)
             cols, ocols = tu.eps.T[:, None], ext.T[:, :, None]
             room = _room(cols, ocols)
             if floor is None:
@@ -769,6 +769,98 @@ def test_pack_3dbp_max_tus_stops_at_the_tu_past_the_cap():
                 assert mine == theirs[:len(mine)]
             cut += 1
     assert equal == 40 and cut > 40
+
+
+# Boxes drawn from 2-4 shapes, so packs repeat placement sequences and their
+# TUs share layout nodes: copies of a shape differ in weight, and the pool
+# holds a shape that differs from another only in stackability and one that
+# matches another only under rotation, with other rotation flags.
+_dim = st.integers(15, 45)
+
+
+@st.composite
+def _few_shapes(draw):
+    w, l, h = draw(_dim), draw(_dim), draw(_dim)
+    txz, tyz, stackable = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    pool = [(w, l, h, txz, tyz, stackable), (w, l, h, txz, tyz, not stackable),
+            (h, l, w, not txz, True, stackable)]
+    pool += draw(st.lists(st.tuples(_dim, _dim, _dim, st.booleans(), st.booleans(),
+                                    st.booleans()), max_size=1))
+    pool = draw(st.permutations(pool))[:draw(st.integers(2, len(pool)))]
+    n = draw(st.integers(2, 60))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 60)),
+                          min_size=n, max_size=n))
+    return [BoxSpec(f"b{i}", *shape[:3], weight, *shape[3:])
+            for i, (shape, weight) in enumerate(picks)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(boxes=_few_shapes(), cp=st.just(DEFAULT_COST) | _cost_params(), cut=st.integers(1, 3),
+       tut=st.sampled_from([T_SMALL, TuType("narrow", 60, 50, 100, 400)]))
+def test_pack_3dbp_with_shared_layouts_equals_pack_without_memo(boxes, cp, cut, tut):
+    """Packs whose TUs repeat placement sequences, and so share layout nodes
+    (EPs, layout arrays and ``best_spot`` answers), pack exactly like the
+    reference that asks every TU, uncapped and capped."""
+    got = pack_3dbp(tut, boxes, cp)
+    tus, unplaced = _pack_without_memo(tut, boxes, cp=cp)
+    assert _layout(got.tus) == _layout(tus) and got.unplaced == unplaced
+    assert [ep_list(tu.eps) for tu in got.tus] == [ep_list(tu.eps) for tu in tus]
+    assert [tu.total_weight for tu in got.tus] == [tu.total_weight for tu in tus]
+    for tu in got.tus:
+        _corners_are_the_layouts(tu)
+    if len(tus) > cut:
+        capped = pack_3dbp(tut, boxes, cp, max_tus=len(tus) - cut)
+        # every box fits an empty TU of either type
+        assert capped.unplaced == sort_boxes(boxes, tut)[sum(tu.nbox for tu in capped.tus):]
+        assert _layout(capped.tus) == [lay[:len(mine)] for mine, lay in
+                                       zip(_layout(capped.tus), _layout(tus))]
+
+
+def _twin_tus():
+    """Three TUs of one pack that share one layout node: two layers of six
+    boxes each, 20 cm below the roof, and different weights."""
+    boxes = [BoxSpec(f"b{i}", 30, 35, 30, i) for i in range(36)]
+    tus = pack_3dbp(T_SMALL, boxes).tus
+    assert len(tus) == 3 and len({tu.total_weight for tu in tus}) == 3
+    assert tus[0].eps is tus[1].eps is tus[2].eps and tus[0].layout is tus[2].layout
+    return tus
+
+
+def test_tus_of_one_layout_stay_independent():
+    """A TU that shares its layout node with others keeps its own placements
+    and weight, and the others keep theirs, after one of them gets ``add``
+    or ``remove_at``."""
+    a, b, c = _twin_tus()
+    placements, weights = [list(tu.placements) for tu in (b, c)], (b.total_weight, c.total_weight)
+    eps, layout = b.eps, b.layout
+    assert place_best(a, free_box("small", 10, 10, 10, weight=7)) is not None
+    b.remove_at(3)
+    assert a.nbox == 13 and b.nbox == 11 and c.placements == placements[1]
+    assert b.placements == placements[0][:3] + placements[0][4:]
+    assert b.total_weight == weights[0] - placements[0][3].box.weight
+    assert c.total_weight == weights[1] and c.eps is eps and c.layout is layout
+    for tu in (a, c):
+        alone = PackedTu(T_SMALL)
+        for p in tu.placements:
+            alone.add(p)
+        assert ep_list(tu.eps) == ep_list(alone.eps)
+    assert ep_list(b.eps) == ep_list(eps_of_layout(b))
+    for tu in (a, b, c):
+        _corners_are_the_layouts(tu)
+
+
+def test_layout_arrays_refuse_writes():
+    """The EPs, the layout and its corners are read-only on packed TUs, on
+    their clones and after ``add`` and ``remove_at``, since clones and TUs of
+    one layout share them."""
+    a, b, _ = _twin_tus()
+    twin = a.clone()
+    place_best(twin, free_box("small", 10, 10, 10))
+    b.remove_at(0)
+    for tu in (a, b, twin, PackedTu(T_SMALL, a.placements)):
+        for arr in (tu.eps, tu.layout, *tu.corners):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[..., 0] = 1
 
 
 def test_clone_shares_nothing_mutable():
@@ -882,7 +974,7 @@ def test_best_spot_from_the_memo_parts_equals_best_spot_alone(cp, seed):
                        after_place=lambda tu, before, p: states.append(tu.clone()))
     for tu in states:
         for box in _random_boxes(rng, 3):
-            ext, memo = _extents(box), _TuMemo()
+            ext, memo = _oriented(box.shape)[1], _Node(tu)
             box_part = _box_part(ext.T, cp)
             _floor(tu, memo, ext.min(axis=0), float(box_part.min()), cp)
             given = best_spot(tu, box, cp, ep_part=memo.ep_part, box_part=box_part)
@@ -908,7 +1000,7 @@ def _ref_unseen(pts, seeds, frame):
 def test_unseen_equals_the_comparison_matrix_dedupe(dims, data):
     """Points drawn from a small pool (so they repeat), on the walls and
     inside, against seeds inside the TU."""
-    frame = _frame(TuType("t", *dims, 1))
+    frame = _frame(*dims)
     inside = st.tuples(*(st.integers(0, d - 1) for d in dims))
     on_or_in = st.tuples(*(st.integers(0, d) for d in dims))
     seeds = data.draw(st.lists(inside, max_size=6))
@@ -929,8 +1021,8 @@ def test_an_uncovered_old_ep_keeps_room_after_the_cut(seed):
     real, cuts = packer.update_eps, []
 
     def checked_update(tu, placed):
-        old, box = tu.eps, tu.layout[:, -1:]
-        covered, cut = _measure(box[:3], box[3:], old[:, :3], _frame(tu.tu_type)[0])
+        old, box, tut = tu.eps, tu.layout[:, -1:], tu.tu_type
+        covered, cut = _measure(box[:3], box[3:], old[:, :3], _frame(tut.x, tut.y, tut.z)[0])
         cuts.append((np.minimum(old[~covered, 3:], cut[~covered]) > 0).all())
         real(tu, placed)
 
