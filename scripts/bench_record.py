@@ -14,7 +14,9 @@ sides PAIRS times, alternating which side runs first, with seeds
 seed). It then runs PAIRS pairs of ``--trace 1`` passes the same way,
 because one traced pass is as noisy as the host. The record keeps
 perfbench's own output: per run the end-to-end metrics (quality included),
-the failure count and the fingerprint; per traced pass every per-layer
+the failure count, the fingerprint, and each pass's wall time and
+speed-probe factor (``pass_wall_s``, ``pass_speed_factors``), so a shift can
+be traced to the code or to the probe's scale; per traced pass every per-layer
 metric; and the Python and numpy versions and core count of the runs.
 For each end-to-end metric it adds both sides' medians and quartiles, the
 pairs the change won (ties count for neither, "better" as ``BENCHMARK.json``
@@ -93,6 +95,8 @@ def run_entry(run: dict) -> dict:
         "attempted": run["attempted"],
         "failed": run["failed"],
         "passes": rec["passes"],
+        "pass_wall_s": rec["pass_wall_s"],
+        "pass_speed_factors": rec["pass_speed_factors"],
         "fingerprint": rec["fingerprint"],
         "metrics": {k: v["value"] for k, v in run["metrics"].items()},
     }

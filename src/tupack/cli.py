@@ -200,6 +200,8 @@ def cmd_batch(args) -> int:
         omegas = [float(t) for t in args.omegas.split(",")]
     except ValueError as exc:
         raise InputError(f"bad --omegas {args.omegas!r}: expected comma-separated numbers") from exc
+    if len(set(omegas)) < len(omegas):
+        raise InputError(f"bad --omegas {args.omegas!r}: an omega is repeated")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # one seed per instance position: seed_i = base seed + i

@@ -170,69 +170,51 @@ def partition_scheme1(tut: TuType, bounds: PartitionBounds, rng: random.Random) 
     return out
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """A free axis-aligned sub-cuboid, anchored at its west-south-down corner."""
-
-    x: int
-    y: int
-    z: int
-    ex: int  # extents
-    ey: int
-    ez: int
+# per face (up, east, north): the tunnel axis, then the two leftover cells in
+# pool order, each as (the axis it lies beyond the seed box on, the axis it is
+# narrowed to the seed box on, or None); axes are 0 = x, 1 = y, 2 = z
+_TUNNELS = (
+    (2, ((1, 0), (0, None))),  # up: north, east
+    (0, ((1, None), (2, 1))),  # east: north, top
+    (1, ((0, None), (2, 0))),  # north: east, top
+)
 
 
 def partition_scheme2(tut: TuType, bounds: PartitionBounds, rng: random.Random) -> list[CarvedBox]:
     """Corner-seeded tunnel carving.
 
-    A free cell is picked at random; a seed box is carved at its corner, a
-    random face (up, east, or north) is chosen, and the tunnel behind that
-    face is partitioned up to the cell wall with cuts bounded below only.
-    The two remaining sub-cells re-enter the pool, so the carving tiles the
-    cell exactly by induction. Tunnel cuts have no upper bound; only the
-    seed box dimensions respect it.
+    A free cell, an ``(anchor, extents)`` pair, is picked at random; a seed
+    box is carved at its corner, a random face (up, east, or north) is
+    chosen, and the tunnel behind that face is partitioned up to the cell
+    wall with cuts bounded below only. The two remaining sub-cells re-enter
+    the pool, so the carving tiles the cell exactly by induction. Tunnel cuts
+    have no upper bound; only the seed box dimensions respect it.
     """
     bounds.check(tut)
+    lbs = (bounds.x_lb, bounds.y_lb, bounds.z_lb)
+    ubs = (bounds.x_ub, bounds.y_ub, bounds.z_ub)
     out: list[CarvedBox] = []
-    cells = [_Cell(0, 0, 0, tut.x, tut.y, tut.z)]
+    cells = [((0, 0, 0), (tut.x, tut.y, tut.z))]
     while cells:
-        i = rng.randrange(len(cells))
-        cell = cells.pop(i)
-        xb = _cut(rng, bounds.x_lb, bounds.x_ub, cell.ex)
-        yb = _cut(rng, bounds.y_lb, bounds.y_ub, cell.ey)
-        zb = _cut(rng, bounds.z_lb, bounds.z_ub, cell.ez)
-        out.append(CarvedBox(xb, yb, zb, cell.x, cell.y, cell.z))
-        face = rng.randint(1, 3)
-        if face == 1:  # tunnel up: fill the seed column to the cell ceiling
-            off = zb
-            while off < cell.ez:
-                seg = _cut(rng, bounds.z_lb, cell.ez, cell.ez - off)
-                out.append(CarvedBox(xb, yb, seg, cell.x, cell.y, cell.z + off))
-                off += seg
-            north = _Cell(cell.x, cell.y + yb, cell.z, xb, cell.ey - yb, cell.ez)
-            east = _Cell(cell.x + xb, cell.y, cell.z, cell.ex - xb, cell.ey, cell.ez)
-            rest = (north, east)
-        elif face == 2:  # tunnel east
-            off = xb
-            while off < cell.ex:
-                seg = _cut(rng, bounds.x_lb, cell.ex, cell.ex - off)
-                out.append(CarvedBox(seg, yb, zb, cell.x + off, cell.y, cell.z))
-                off += seg
-            north = _Cell(cell.x, cell.y + yb, cell.z, cell.ex, cell.ey - yb, cell.ez)
-            top = _Cell(cell.x, cell.y, cell.z + zb, cell.ex, yb, cell.ez - zb)
-            rest = (north, top)
-        else:  # tunnel north
-            off = yb
-            while off < cell.ey:
-                seg = _cut(rng, bounds.y_lb, cell.ey, cell.ey - off)
-                out.append(CarvedBox(xb, seg, zb, cell.x, cell.y + off, cell.z))
-                off += seg
-            east = _Cell(cell.x + xb, cell.y, cell.z, cell.ex - xb, cell.ey, cell.ez)
-            top = _Cell(cell.x, cell.y, cell.z + zb, xb, cell.ey, cell.ez - zb)
-            rest = (east, top)
-        for c in rest:
-            if c.ex > 0 and c.ey > 0 and c.ez > 0:
-                cells.append(c)
+        anchor, ext = cells.pop(rng.randrange(len(cells)))
+        seed = [_cut(rng, lb, ub, e) for lb, ub, e in zip(lbs, ubs, ext)]
+        out.append(CarvedBox(*seed, *anchor))
+        axis, rest = rng.choice(_TUNNELS)
+        off = seed[axis]
+        while off < ext[axis]:
+            size, at = list(seed), list(anchor)
+            size[axis] = _cut(rng, lbs[axis], ext[axis], ext[axis] - off)
+            at[axis] += off
+            out.append(CarvedBox(*size, *at))
+            off += size[axis]
+        for beyond, narrow in rest:
+            at, size = list(anchor), list(ext)
+            at[beyond] += seed[beyond]
+            size[beyond] -= seed[beyond]
+            if narrow is not None:
+                size[narrow] = seed[narrow]
+            if min(size) > 0:
+                cells.append((tuple(at), tuple(size)))
     return out
 
 

@@ -475,11 +475,9 @@ def best_spot(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST, *,
     if ep_part is not None:
         ep_part = ep_part[:, None]
     cost = np.where(room, _price(cols, ocols, tu.nbox, cp, ep_part, box_part), np.inf).ravel()
-    rank = np.argsort(cost, kind="stable")[:n]
-    if tu.placements:
-        rank = _fitting(tu, eps, ext, rank, box.stackable)
-        if not len(rank):
-            return None
+    rank = _fitting(tu, eps, ext, np.argsort(cost, kind="stable")[:n], box.stackable)
+    if not len(rank):
+        return None
     ep_idx, oi = divmod(int(rank[0]), len(ext))
     return float(cost[rank[0]]), ep_idx, oris[oi]
 
@@ -536,7 +534,7 @@ def fits_empty(box: BoxSpec, tut: TuType) -> bool:
 # modulo term is never negative. Float rounding to nearest is monotone, so
 # (least EP part + least orientation part) - nbox, computed with the same
 # parts in the same order, is at most the computed price of every (EP,
-# orientation) that passes ``_room``, bit for bit. A TU's floor takes the
+# orientation) that passes ``_room``, bit for bit. A layout's floor takes the
 # least EP part over the EPs whose residuals reach the box's smallest extent
 # on every axis.
 
@@ -574,7 +572,8 @@ def _cheapest(tus: list[PackedTu], nodes: list[_Node], box: BoxSpec, shape: tupl
     price floors; a TU is skipped when its (floor, TU index) is above the
     best (cost, TU index) so far, which it then can never beat. A TU with
     no EP that reaches the box's smallest extents gets None without a call.
-    The weight check stays per TU.
+    The weight check stays per TU. This is the one place a pack reads or
+    fills a node's ``spots``, a fresh TU's root node included.
     """
     best, missing = None, {}
     for ti, tu in enumerate(tus):
@@ -596,7 +595,7 @@ def _cheapest(tus: list[PackedTu], nodes: list[_Node], box: BoxSpec, shape: tupl
         least = float(box_part.min())
         order = []
         for node, ti in missing.items():
-            floor = _floor(tus[ti], node, low, least, cp)
+            floor = _floor(node, low, least, cp)
             if floor is None:
                 node.spots[shape] = None
             else:
@@ -612,17 +611,17 @@ def _cheapest(tus: list[PackedTu], nodes: list[_Node], box: BoxSpec, shape: tupl
     return best
 
 
-def _floor(tu: PackedTu, node: _Node, low: np.ndarray, box_part: float, cp: CostParams):
-    """The TU's price floor for a box of smallest extents ``low`` (per axis)
-    and least orientation part ``box_part``; None when no EP's residuals
-    reach ``low`` on every axis, so that no (EP, orientation) passes
-    ``_room``. Fills in the EP parts of the TU's node."""
+def _floor(node: _Node, low: np.ndarray, box_part: float, cp: CostParams):
+    """The layout's price floor for a box of smallest extents ``low`` (per
+    axis) and least orientation part ``box_part``; None when no EP's
+    residuals reach ``low`` on every axis, so that no (EP, orientation)
+    passes ``_room``. Fills in the node's EP parts."""
     if node.ep_part is None:
-        node.ep_part = _ep_part(tu.eps.T, cp)
-    parts = node.ep_part[(tu.eps[:, 3:] >= low).all(axis=1)]
+        node.ep_part = _ep_part(node.eps.T, cp)
+    parts = node.ep_part[(node.eps[:, 3:] >= low).all(axis=1)]
     if not len(parts):
         return None
-    return float(parts.min()) + box_part - tu.nbox
+    return float(parts.min()) + box_part - node.layout.shape[1]
 
 
 def pack_3dbp(
@@ -637,9 +636,10 @@ def pack_3dbp(
 
     Each box lands at the feasible (TU, EP, orientation) triple of minimum
     price across all open TUs (``_cheapest``); when none exists a new TU is
-    opened with the origin EP and the box placed at its cheapest orientation
-    there. Boxes that cannot fit even an empty TU of this type are reported
-    unplaced. Deterministic: no randomness anywhere in this path.
+    opened with the origin EP and ``_cheapest`` asked again, so the box lands
+    at its cheapest orientation there. Boxes that cannot fit even an empty
+    TU of this type are reported unplaced. Deterministic: no randomness
+    anywhere in this path.
 
     ``max_tus`` caps the TUs this call opens: the pack stops at the first box
     that would need one more, and reports that box and every later one (in
@@ -667,15 +667,11 @@ def pack_3dbp(
             if len(tus) == max_tus:
                 unplaced.extend(order[i:])
                 break
-            ti, tu, node = len(tus), PackedTu(tut), root
-            tus.append(tu)
+            tus.append(PackedTu(tut))
             nodes.append(root)
-            if shape not in root.spots:
-                root.spots[shape] = best_spot(tu, box, cp)
-            _, ep_idx, ob = root.spots[shape]
-        else:
-            _, ti, ep_idx, ob = best
-            tu, node = tus[ti], nodes[ti]
+            best = _cheapest(tus, nodes, box, shape, cp)
+        _, ti, ep_idx, ob = best
+        tu, node = tus[ti], nodes[ti]
         x, y, z = node.eps[ep_idx, :3].tolist()
         placed = Placement.of(box, ob, x, y, z)
         key = (ob.code, x, y, z, shape)

@@ -1,6 +1,7 @@
 """The statistics behind a ``BENCH_<pr>.json``: ``scripts/bench_record.py``'s
-``quartiles`` and ``summarize`` on hand-built pairs, and its source line
-count on a hand-built checkout (no git, no perfbench)."""
+``quartiles`` and ``summarize`` on hand-built pairs, its entry for a
+hand-built run, and its source line count on a hand-built checkout (no git,
+no perfbench)."""
 
 from __future__ import annotations
 
@@ -123,3 +124,19 @@ def test_source_lines_counts_each_module_of_the_package(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_a.py").write_text("not counted\n")
     assert bench_record.source_lines(tmp_path) == {"files": {"a.py": 3, "b.py": 2}, "total": 5}
+
+
+def test_run_entry_keeps_the_raw_pass_data():
+    """A run's entry keeps each pass's wall time and speed-probe factor next
+    to the metrics, so a record can tell a code shift from a probe shift."""
+    run = {
+        "correct": True, "attempted": 6, "failed": 0,
+        "metrics": {"wall_s": {"value": 1.5, "unit": "s"}},
+        "record": {"seed": 3, "passes": 2, "fingerprint": "f", "pass_wall_s": [1.4, 1.6],
+                   "pass_speed_factors": [0.9, 1.1], "per_instance": [], "git_sha": "x"},
+    }
+    assert bench_record.run_entry(run) == {
+        "seed": 3, "correct": True, "attempted": 6, "failed": 0, "passes": 2,
+        "pass_wall_s": [1.4, 1.6], "pass_speed_factors": [0.9, 1.1], "fingerprint": "f",
+        "metrics": {"wall_s": 1.5},
+    }

@@ -558,6 +558,9 @@ _MALFORMED = {
     "NaN solution fitness in render": _validate_with_fitness("nan", "render"),
     "NaN solution fitness in compare": _validate_with_fitness("nan", "compare"),
     "batch without instances": _batch_on_empty_dir,
+    "batch repeated omega": lambda workspace, tmp_path: [
+        "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas",
+        "80,80.0"],
     "batch gamma in workers": lambda workspace, tmp_path: [
         "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas", "95",
         "--gamma", "-1", "--jobs", "2"],

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from tupack.generator import (
     DEFAULT_CATALOG,
     BUILTIN_DEMANDS,
+    CarvedBox,
     InfeasibleBoundsError,
     Instance,
     PERFECT_PARTITIONS,
     PartitionBounds,
     UnknownTypeError,
+    _cut,
     generate_instance,
     partition_scheme1,
     partition_scheme2,
@@ -240,6 +243,88 @@ def test_scheme2_degenerate_bounds_collapse():
     carved = partition_scheme2(tut, bounds, random.Random(3))
     assert len(carved) == 1
     assert (carved[0].w, carved[0].l, carved[0].h) == (120, 80, 130)
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """A free axis-aligned sub-cuboid, anchored at its west-south-down corner."""
+
+    x: int
+    y: int
+    z: int
+    ex: int  # extents
+    ey: int
+    ez: int
+
+
+def reference_partition_scheme2(tut: TuType, bounds: PartitionBounds,
+                                rng: random.Random) -> list[CarvedBox]:
+    """Scheme-2 carving with each face's tunnel and leftover cells spelled
+    out: ``partition_scheme2`` before one table-driven step replaced the
+    three branches."""
+    bounds.check(tut)
+    out: list[CarvedBox] = []
+    cells = [_Cell(0, 0, 0, tut.x, tut.y, tut.z)]
+    while cells:
+        i = rng.randrange(len(cells))
+        cell = cells.pop(i)
+        xb = _cut(rng, bounds.x_lb, bounds.x_ub, cell.ex)
+        yb = _cut(rng, bounds.y_lb, bounds.y_ub, cell.ey)
+        zb = _cut(rng, bounds.z_lb, bounds.z_ub, cell.ez)
+        out.append(CarvedBox(xb, yb, zb, cell.x, cell.y, cell.z))
+        face = rng.randint(1, 3)
+        if face == 1:  # tunnel up: fill the seed column to the cell ceiling
+            off = zb
+            while off < cell.ez:
+                seg = _cut(rng, bounds.z_lb, cell.ez, cell.ez - off)
+                out.append(CarvedBox(xb, yb, seg, cell.x, cell.y, cell.z + off))
+                off += seg
+            north = _Cell(cell.x, cell.y + yb, cell.z, xb, cell.ey - yb, cell.ez)
+            east = _Cell(cell.x + xb, cell.y, cell.z, cell.ex - xb, cell.ey, cell.ez)
+            rest = (north, east)
+        elif face == 2:  # tunnel east
+            off = xb
+            while off < cell.ex:
+                seg = _cut(rng, bounds.x_lb, cell.ex, cell.ex - off)
+                out.append(CarvedBox(seg, yb, zb, cell.x + off, cell.y, cell.z))
+                off += seg
+            north = _Cell(cell.x, cell.y + yb, cell.z, cell.ex, cell.ey - yb, cell.ez)
+            top = _Cell(cell.x, cell.y, cell.z + zb, cell.ex, yb, cell.ez - zb)
+            rest = (north, top)
+        else:  # tunnel north
+            off = yb
+            while off < cell.ey:
+                seg = _cut(rng, bounds.y_lb, cell.ey, cell.ey - off)
+                out.append(CarvedBox(xb, seg, zb, cell.x, cell.y + off, cell.z))
+                off += seg
+            east = _Cell(cell.x + xb, cell.y, cell.z, cell.ex - xb, cell.ey, cell.ez)
+            top = _Cell(cell.x, cell.y, cell.z + zb, xb, cell.ey, cell.ez - zb)
+            rest = (east, top)
+        for c in rest:
+            if c.ex > 0 and c.ey > 0 and c.ez > 0:
+                cells.append(c)
+    return out
+
+
+# per axis: (7, 15) cuts many thin slices with absorbed remainders, (10, 130)
+# lets a seed box span the whole axis, and (60, 60) absorbs a remainder on
+# every type; each axis gets each once, so every face's tunnel and cells see
+# all three
+@pytest.mark.parametrize("bounds", [
+    PartitionBounds(7, 15, 60, 60, 10, 130),
+    PartitionBounds(10, 130, 7, 15, 60, 60),
+    PartitionBounds(60, 60, 10, 130, 7, 15),
+    PartitionBounds(10, 130, 10, 130, 10, 130),
+    PartitionBounds(60, 60, 60, 60, 60, 60),
+    PartitionBounds(25, 70, 25, 70, 25, 70),
+])
+def test_scheme2_carves_like_the_reference(bounds):
+    for tut in DEFAULT_CATALOG:
+        for seed in range(50):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert partition_scheme2(tut, bounds, rng) == reference_partition_scheme2(
+                tut, bounds, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_scheme3_published_partition():

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tupack import packer
 from tupack.fileio import dump_solution, parse_solution
-from tupack.generator import Instance
+from tupack.generator import DEFAULT_CATALOG, Instance, generate_instance
 from tupack.geometry import (
     BoxSpec,
     LoadedTu,
@@ -19,6 +21,7 @@ from tupack.geometry import (
     fill_rate,
     validate_tu,
 )
+from tupack.lowerbound import DemandPoint
 from tupack.packer import (
     DEFAULT_COST,
     MAX_COST_CONSTANT,
@@ -736,7 +739,7 @@ def test_floor_is_below_every_room_passing_price(cp, seed):
     for tu in states:
         for box in _random_boxes(rng, 3):
             ext = _oriented(box.shape)[1]
-            floor = _floor(tu, _Node(tu), ext.min(axis=0), float(_box_part(ext.T, cp).min()), cp)
+            floor = _floor(_Node(tu), ext.min(axis=0), float(_box_part(ext.T, cp).min()), cp)
             cols, ocols = tu.eps.T[:, None], ext.T[:, :, None]
             room = _room(cols, ocols)
             if floor is None:
@@ -814,6 +817,33 @@ def test_pack_3dbp_with_shared_layouts_equals_pack_without_memo(boxes, cp, cut, 
         assert capped.unplaced == sort_boxes(boxes, tut)[sum(tu.nbox for tu in capped.tus):]
         assert _layout(capped.tus) == [lay[:len(mine)] for mine, lay in
                                        zip(_layout(capped.tus), _layout(tus))]
+
+
+# (scheme, demand, seed, type, best_spot calls, update_eps calls): a
+# scheme-3 consignment of two box shapes whose four TUs mostly repeat one
+# layout, so 48 of 84 placements take a trie node's arrays, and a scheme-2
+# one of 107 boxes in 105 shapes, where nothing repeats
+_KERNEL_WORK = [
+    (3, (7, 300), 0, "120x100x160", 38, 36),
+    (2, (3, 400), 1, "120x80x160", 150, 107),
+]
+
+
+@pytest.mark.parametrize("scheme, demand, seed, tut_id, spots, updates", _KERNEL_WORK)
+def test_pack_kernel_work_is_pinned(monkeypatch, scheme, demand, seed, tut_id, spots, updates):
+    """The ``best_spot`` and ``update_eps`` calls of two small packs, counted
+    through the module globals the packer calls them by. A pack that asks
+    the kernels for more work than these packs needed fails here."""
+    inst, _ = generate_instance(DemandPoint(*demand), scheme, seed=seed)
+    calls = Counter()
+    for name in ("best_spot", "update_eps"):
+        def counted(*args, _kernel=getattr(packer, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(packer, name, counted)
+    tut = next(t for t in DEFAULT_CATALOG if t.id == tut_id)
+    assert sum(tu.nbox for tu in pack_3dbp(tut, inst.boxes).tus) == len(inst.boxes)
+    assert (calls["best_spot"], calls["update_eps"]) == (spots, updates)
 
 
 def _twin_tus():
@@ -976,7 +1006,7 @@ def test_best_spot_from_the_memo_parts_equals_best_spot_alone(cp, seed):
         for box in _random_boxes(rng, 3):
             ext, memo = _oriented(box.shape)[1], _Node(tu)
             box_part = _box_part(ext.T, cp)
-            _floor(tu, memo, ext.min(axis=0), float(box_part.min()), cp)
+            _floor(memo, ext.min(axis=0), float(box_part.min()), cp)
             given = best_spot(tu, box, cp, ep_part=memo.ep_part, box_part=box_part)
             alone = best_spot(tu, box, cp)
             assert (given is None) == (alone is None)
