@@ -202,8 +202,12 @@ def cmd_batch(args) -> int:
         raise InputError(f"bad --omegas {args.omegas!r}: expected comma-separated numbers") from exc
     if len(set(omegas)) < len(omegas):
         raise InputError(f"bad --omegas {args.omegas!r}: an omega is repeated")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # the workers check the same ranges, but only once the solves have begun
+    for omega in omegas:
+        try:
+            SearchParams(omega, args.gamma, args.micro_repeats, args.seed)
+        except ValueError as exc:
+            raise InputError(f"bad parameter: {exc}") from exc
     # one seed per instance position: seed_i = base seed + i
     tasks = [
         (str(p), argparse.Namespace(**{**vars(args), "omega": omega, "seed": args.seed + i}))
@@ -225,6 +229,9 @@ def cmd_batch(args) -> int:
         if failure:
             failures += 1
             print(f"{path} omega={task_args.omega}: {failure}", file=sys.stderr)
+    # made only now, so a malformed instance or flag leaves no directory behind
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_rows_csv(out / "per_instance.csv", rows)
     summaries, ls_summaries = [], []
     for omega in omegas:

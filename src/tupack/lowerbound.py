@@ -50,6 +50,14 @@ class LowerBound:
 MAX_COVER_TUS = 100
 
 
+# A node's floor carries a few ulps of rounding from the float rates, and its
+# cost more from a fractional 1000*beta, so a subtree holding a tie with the
+# incumbent can compute as dearer. The search prunes only what is dearer by
+# more than this factor, so every tie reaches the tie-break; integral costs
+# below 1e12 that differ at all differ by more.
+_ROUNDING_MARGIN = 1 + 1e-12
+
+
 def _scaled(demand: DemandPoint, catalog: list[TuType]):
     """Integer problem data: volumes in cm^3, weights in grams."""
     vols = [t.volume_cm3 for t in catalog]
@@ -73,11 +81,17 @@ def solve_lower_bound(
 ) -> LowerBound:
     """Exact optimum of the integer covering program by depth-first search.
 
-    Branches over per-type counts with two prunes: the partial objective
-    against the incumbent, and an optimistic completion cost from the best
-    cost-per-volume and cost-per-weight ratios among the types still open.
-    The last type takes the one count that covers the rest. Ties resolve
-    to the lexicographically smallest count vector over catalog order.
+    Visits the types in ascending order of cost per cm^3, ``(v + 1000 beta)
+    / v``, ties by catalog index, so the first coverings found are near the
+    optimum and prune most of the rest. Branches over per-type counts with
+    two prunes: the partial objective against the incumbent, and an
+    optimistic completion cost from the best cost-per-volume and
+    cost-per-weight ratios among the types still to visit. The last type
+    visited takes the one count that covers the rest. A node is priced from
+    its integer totals, ``volume_cm3 + 1000 beta * n_tus``, so coverings with
+    equal totals cost exactly the same whatever the order they were built
+    in, and ties resolve to the lexicographically smallest count vector over
+    catalog order.
     Raises ``ValueError`` when the demand needs more than ``MAX_COVER_TUS``
     TUs of the catalog's largest volume or capacity, or when the objective of
     every covering overflows.
@@ -93,13 +107,15 @@ def solve_lower_bound(
     if need_v == 0 and need_w == 0:
         return LowerBound((0,) * n, 0.0)
 
-    # per-TU objective in milli-liters keeps the search arithmetic integral
-    # for integral 1000*beta; float beta still compares exactly at this scale
-    unit_cost = [v + beta * 1000.0 for v in vols]
-    # per type i, the least cost per cm^3 and per gram of types i..n-1, the
-    # ones a completion from type i may still add
-    rate_v = _suffix_min([unit_cost[i] / vols[i] for i in range(n)])
-    rate_w = _suffix_min([unit_cost[i] / caps[i] for i in range(n)])
+    # fixed charge per TU in milli-liters, the unit of the search's costs
+    per_tu = beta * 1000.0
+    per_cm3 = [(v + per_tu) / v for v in vols]
+    # the stable sort breaks equal rates by catalog index
+    order = sorted(range(n), key=per_cm3.__getitem__)
+    # per visit position j, the least cost per cm^3 and per gram of the
+    # types visited from j on, the ones a completion from there may still add
+    rate_v = _suffix_min([per_cm3[i] for i in order])
+    rate_w = _suffix_min([(vols[i] + per_tu) / caps[i] for i in order])
 
     best: list = [float("inf"), None]
     counts = [0] * n
@@ -107,7 +123,9 @@ def solve_lower_bound(
     def ceil_div(a: int, b: int) -> int:
         return -(-a // b)
 
-    def dfs(i: int, cur: float, rem_v: int, rem_w: int):
+    def dfs(j: int, tus: int, rem_v: int, rem_w: int):
+        # priced from integer totals, whatever order the counts came in
+        cur = need_v - rem_v + per_tu * tus
         if rem_v <= 0 and rem_w <= 0:
             # an overflowing (infinite) total never becomes the incumbent
             if cur < best[0] or (
@@ -116,14 +134,15 @@ def solve_lower_bound(
                 best[0] = cur
                 best[1] = tuple(counts)
             return
-        if i == n:
+        if j == n:
             return
         floor = max(
-            rate_v[i] * rem_v if rem_v > 0 else 0.0,
-            rate_w[i] * rem_w if rem_w > 0 else 0.0,
+            rate_v[j] * rem_v if rem_v > 0 else 0.0,
+            rate_w[j] * rem_w if rem_w > 0 else 0.0,
         )
-        if cur + floor > best[0]:
+        if cur + floor > best[0] * _ROUNDING_MARGIN:
             return
+        i = order[j]
         # beyond max(ceil by volume, ceil by weight) further TUs of one type
         # only add cost
         hi = max(
@@ -131,13 +150,12 @@ def solve_lower_bound(
             ceil_div(rem_w, caps[i]) if rem_w > 0 else 0,
         )
         # at the last type any count below hi leaves the demand uncovered
-        for c in range(hi, -1 if i < n - 1 else hi - 1, -1):
+        for c in range(hi, -1 if j < n - 1 else hi - 1, -1):
             counts[i] = c
-            dfs(i + 1, cur + c * unit_cost[i], rem_v - c * vols[i], rem_w - c * caps[i])
+            dfs(j + 1, tus + c, rem_v - c * vols[i], rem_w - c * caps[i])
         counts[i] = 0
 
-    dfs(0, 0.0, need_v, need_w)
+    dfs(0, 0, need_v, need_w)
     if best[1] is None:
         raise ValueError("no finite covering: the objective overflows for every TU count")
     return LowerBound(best[1], _objective_liters(best[1], vols, beta))
-

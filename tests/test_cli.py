@@ -514,6 +514,11 @@ def _batch_on_empty_dir(workspace, tmp_path):
     return ["batch", "--instances", tmp_path / "empty", "--out", tmp_path / "r"]
 
 
+def _batch_with_omegas(omegas):
+    return lambda workspace, tmp_path: [
+        "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas", omegas]
+
+
 _MALFORMED = {
     "negative alpha": _edited_instance(r"^alpha .*$", "alpha -1"),
     "NaN beta": _edited_instance(r"^beta .*$", "beta nan"),
@@ -561,6 +566,11 @@ _MALFORMED = {
     "batch repeated omega": lambda workspace, tmp_path: [
         "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas",
         "80,80.0"],
+    "batch omega above 100": _batch_with_omegas("150"),
+    "batch negative omega": _batch_with_omegas("-5"),
+    "batch NaN omega": _batch_with_omegas("nan"),
+    "batch infinite alpha in workers": lambda workspace, tmp_path: [
+        "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--alpha", "inf"],
     "batch gamma in workers": lambda workspace, tmp_path: [
         "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas", "95",
         "--gamma", "-1", "--jobs", "2"],
@@ -580,13 +590,13 @@ def _cli_process(argv, timeout):
 @pytest.mark.parametrize("case", list(_MALFORMED))
 def test_malformed_input_exits_2_with_one_error_line(workspace, tmp_path, case):
     argv = [str(a) for a in _MALFORMED[case](workspace, tmp_path)]
-    files_before = {p for p in tmp_path.rglob("*") if p.is_file()}
+    paths_before = set(tmp_path.rglob("*"))
     proc = _cli_process(argv, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert {p for p in tmp_path.rglob("*") if p.is_file()} == files_before
+    assert set(tmp_path.rglob("*")) == paths_before
 
 
 def test_huge_sort_cluster_counts_solve(workspace, tmp_path):

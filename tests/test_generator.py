@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -150,19 +152,22 @@ def test_lower_bound_covering_constraints_hold():
 
 def reference_lower_bound(demand: DemandPoint, catalog: list[TuType], beta: float) -> LowerBound:
     """The covering search with the catalog-wide cost rates in its floor and
-    every count of every type tried: ``solve_lower_bound`` before it took the
-    rates over the open types and one count of the last type."""
+    every count of every type tried, in catalog order: ``solve_lower_bound``
+    before it took the rates over the open types, one count of the last type
+    and the cheapest types first. Like it, a node costs its integer totals,
+    ``volume_cm3 + 1000 beta * n_tus``."""
     n = len(catalog)
     vols, caps, need_v, need_w = _scaled(demand, catalog)
     if need_v == 0 and need_w == 0:
         return LowerBound((0,) * n, 0.0)
-    unit_cost = [v + beta * 1000.0 for v in vols]
-    rate_v = min(unit_cost[i] / vols[i] for i in range(n))
-    rate_w = min(unit_cost[i] / caps[i] for i in range(n))
+    per_tu = beta * 1000.0
+    rate_v = min((vols[i] + per_tu) / vols[i] for i in range(n))
+    rate_w = min((vols[i] + per_tu) / caps[i] for i in range(n))
     best: list = [float("inf"), None]
     counts = [0] * n
 
-    def dfs(i: int, cur: float, rem_v: int, rem_w: int):
+    def dfs(i: int, tus: int, rem_v: int, rem_w: int):
+        cur = need_v - rem_v + per_tu * tus
         if rem_v <= 0 and rem_w <= 0:
             if cur < best[0] or (cur == best[0] and best[1] is not None
                                  and tuple(counts) < best[1]):
@@ -176,14 +181,45 @@ def reference_lower_bound(demand: DemandPoint, catalog: list[TuType], beta: floa
         hi = max(-(-rem_v // vols[i]) if rem_v > 0 else 0, -(-rem_w // caps[i]) if rem_w > 0 else 0)
         for c in range(hi, -1, -1):
             counts[i] = c
-            dfs(i + 1, cur + c * unit_cost[i], rem_v - c * vols[i], rem_w - c * caps[i])
+            dfs(i + 1, tus + c, rem_v - c * vols[i], rem_w - c * caps[i])
         counts[i] = 0
 
-    dfs(0, 0.0, need_v, need_w)
+    dfs(0, 0, need_v, need_w)
     return LowerBound(best[1], _objective_liters(best[1], vols, beta))
 
 
-@pytest.mark.parametrize("beta", [0.0, 37.5, 100.0])
+def exact_lower_bound(demand: DemandPoint, catalog: list[TuType], beta: float) -> tuple[int, ...]:
+    """Count vector of the optimal covering by exhaustive enumeration in exact
+    rational arithmetic, ties to the lexicographically smallest. A TU is
+    charged the float ``beta * 1000.0`` milli-liters the search charges it,
+    taken as the exact rational it holds. No optimum uses more TUs than the
+    cheapest one-type covering costs over the least cost of one TU, so the
+    enumeration stops there."""
+    vols, caps, need_v, need_w = _scaled(demand, catalog)
+    per_tu = Fraction(beta * 1000.0)
+    upper = min(max(-(-need_v // v), -(-need_w // q)) * (v + per_tu) for v, q in zip(vols, caps))
+    most = int(upper // (min(vols) + per_tu))
+    best = None
+    counts = [0] * len(catalog)
+
+    def rec(i: int, tus: int, vol: int, wgt: int):
+        nonlocal best
+        if i == len(catalog):
+            if vol >= need_v and wgt >= need_w:
+                key = (vol + per_tu * tus, tuple(counts))
+                if best is None or key < best:
+                    best = key
+            return
+        for c in range(most - tus + 1):
+            counts[i] = c
+            rec(i + 1, tus + c, vol + c * vols[i], wgt + c * caps[i])
+        counts[i] = 0
+
+    rec(0, 0, 0, 0)
+    return best[1]
+
+
+@pytest.mark.parametrize("beta", [0.0, 37.5, 100.0, 200.0])
 def test_lower_bound_equals_the_reference_search_on_the_builtins(beta):
     for volume, weight in BUILTIN_DEMANDS:
         d = DemandPoint(volume, weight)
@@ -200,6 +236,65 @@ def test_lower_bound_equals_the_reference_search_on_weight_bound_demands():
         beta = rng.choice([0.0, 37.5, 100.0, rng.uniform(0, 300)])
         assert solve_lower_bound(d, DEFAULT_CATALOG, beta) == reference_lower_bound(
             d, DEFAULT_CATALOG, beta)
+
+
+def test_lower_bound_equals_the_reference_search_on_shuffled_catalogs():
+    """The search visits the types cheapest per cm^3 first; in a shuffled
+    catalog that order differs from catalog order, and the count vector and
+    its tie-break must still follow catalog order."""
+    rng = random.Random(23)
+    for _ in range(60):
+        catalog = rng.sample(DEFAULT_CATALOG, len(DEFAULT_CATALOG))
+        d = DemandPoint(*rng.choice(BUILTIN_DEMANDS))
+        beta = rng.choice([37.5, 100.0, 200.0, rng.uniform(0, 300)])
+        assert solve_lower_bound(d, catalog, beta) == reference_lower_bound(d, catalog, beta)
+
+
+def test_lower_bound_equals_exact_enumeration_on_small_catalogs():
+    """Small random catalogs, most with a duplicated type, so two types tie
+    exactly on cost per cm^3 and every covering has an equal-cost twin;
+    fractional betas; half the demands are exact covers. Float rates and
+    prices must never prune a tie before the tie-break sees it."""
+    rng = random.Random(24)
+    for _ in range(300):
+        catalog = [TuType(f"T{i}", rng.randint(3, 5), rng.randint(3, 5), rng.randint(3, 5),
+                          rng.randint(1, 6)) for i in range(rng.randint(1, 3))]
+        if rng.random() < 0.6:
+            catalog.insert(rng.randint(0, len(catalog)), rng.choice(catalog))
+        if rng.random() < 0.5:
+            cover = [rng.randint(0, 3) for _ in catalog]
+            volume = sum(c * t.volume_cm3 for c, t in zip(cover, catalog))
+            weight = rng.randint(0, sum(c * t.q for c, t in zip(cover, catalog)))
+        else:
+            volume, weight = rng.randint(0, 250), rng.randint(0, 20)
+        if volume == weight == 0:
+            continue
+        d = DemandPoint(volume / 1e6, weight)
+        beta = rng.choice([0.0, 0.004, 0.0125, rng.uniform(0, 0.1)])
+        assert solve_lower_bound(d, catalog, beta).counts == exact_lower_bound(d, catalog, beta)
+
+
+def test_lower_bound_search_work_is_pinned():
+    """Recursive calls of the covering search over the 100 built-in demands
+    at beta = 100, counted through the profiler hook on the search's code
+    object: the cheapest-first visit order makes 25,409 of them (catalog
+    order made 530,980), so an order or prune regression fails here."""
+    dfs, = (c for c in solve_lower_bound.__code__.co_consts
+            if getattr(c, "co_name", None) == "dfs")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is dfs:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        for volume, weight in BUILTIN_DEMANDS:
+            solve_lower_bound(DemandPoint(volume, weight), DEFAULT_CATALOG, 100.0)
+    finally:
+        sys.setprofile(None)
+    assert calls == 25_409
 
 
 # ---------------------------------------------------------------------------
