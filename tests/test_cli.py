@@ -570,7 +570,8 @@ _MALFORMED = {
     "batch negative omega": _batch_with_omegas("-5"),
     "batch NaN omega": _batch_with_omegas("nan"),
     "batch infinite alpha in workers": lambda workspace, tmp_path: [
-        "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--alpha", "inf"],
+        "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--alpha", "inf",
+        "--jobs", "2"],
     "batch gamma in workers": lambda workspace, tmp_path: [
         "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas", "95",
         "--gamma", "-1", "--jobs", "2"],

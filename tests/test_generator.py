@@ -3,7 +3,6 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import pytest
 
@@ -44,34 +43,44 @@ from tupack.lowerbound import (
 
 
 def brute_force_lower_bound(
-    demand: DemandPoint, catalog: list[TuType], beta: float = 100.0, max_total: int = 25
+    demand: DemandPoint, catalog: list[TuType], beta: float = 100.0,
+    max_total: int | None = None,
 ) -> LowerBound:
     """Independent oracle: exhaustive enumeration of count vectors.
 
     Checks every vector with at most ``max_total`` TUs and returns the
     feasible one of minimum objective, ties to the lexicographically
-    smallest. Only valid when the true optimum uses at most ``max_total``.
+    smallest. Costs are compared exactly: a TU is charged the float
+    ``beta * 1000.0`` milli-liters the search charges it, taken as the
+    exact rational it holds. Only valid when the true optimum uses at most
+    ``max_total``; the default is the cost of the cheapest one-type
+    covering over the least cost of one TU, which no optimum exceeds.
     """
     n = len(catalog)
     vols, caps, need_v, need_w = _scaled(demand, catalog)
-    unit_cost = [v + beta * 1000.0 for v in vols]
-    best: tuple[float, tuple[int, ...]] | None = None
+    # costs scaled by den are integers: vol * den + num per TU
+    num, den = (beta * 1000.0).as_integer_ratio()
+    if max_total is None:
+        upper = min(max(-(-need_v // v), -(-need_w // q)) * (v * den + num)
+                    for v, q in zip(vols, caps))
+        max_total = upper // (min(vols) * den + num)
+    best: tuple[int, tuple[int, ...]] | None = None
     counts = [0] * n
 
-    def rec(i: int, left: int, vol: int, wgt: int, cost: float):
+    def rec(i: int, tus: int, vol: int, wgt: int):
         nonlocal best
         if i == n:
             if vol >= need_v and wgt >= need_w:
-                key = (cost, tuple(counts))
+                key = (vol * den + num * tus, tuple(counts))
                 if best is None or key < best:
                     best = key
             return
-        for c in range(left + 1):
+        for c in range(max_total - tus + 1):
             counts[i] = c
-            rec(i + 1, left - c, vol + c * vols[i], wgt + c * caps[i], cost + c * unit_cost[i])
+            rec(i + 1, tus + c, vol + c * vols[i], wgt + c * caps[i])
         counts[i] = 0
 
-    rec(0, max_total, 0, 0, 0.0)
+    rec(0, 0, 0, 0)
     assert best is not None, "demand not coverable within max_total TUs"
     return LowerBound(best[1], _objective_liters(best[1], vols, beta))
 
@@ -188,37 +197,6 @@ def reference_lower_bound(demand: DemandPoint, catalog: list[TuType], beta: floa
     return LowerBound(best[1], _objective_liters(best[1], vols, beta))
 
 
-def exact_lower_bound(demand: DemandPoint, catalog: list[TuType], beta: float) -> tuple[int, ...]:
-    """Count vector of the optimal covering by exhaustive enumeration in exact
-    rational arithmetic, ties to the lexicographically smallest. A TU is
-    charged the float ``beta * 1000.0`` milli-liters the search charges it,
-    taken as the exact rational it holds. No optimum uses more TUs than the
-    cheapest one-type covering costs over the least cost of one TU, so the
-    enumeration stops there."""
-    vols, caps, need_v, need_w = _scaled(demand, catalog)
-    per_tu = Fraction(beta * 1000.0)
-    upper = min(max(-(-need_v // v), -(-need_w // q)) * (v + per_tu) for v, q in zip(vols, caps))
-    most = int(upper // (min(vols) + per_tu))
-    best = None
-    counts = [0] * len(catalog)
-
-    def rec(i: int, tus: int, vol: int, wgt: int):
-        nonlocal best
-        if i == len(catalog):
-            if vol >= need_v and wgt >= need_w:
-                key = (vol + per_tu * tus, tuple(counts))
-                if best is None or key < best:
-                    best = key
-            return
-        for c in range(most - tus + 1):
-            counts[i] = c
-            rec(i + 1, tus + c, vol + c * vols[i], wgt + c * caps[i])
-        counts[i] = 0
-
-    rec(0, 0, 0, 0)
-    return best[1]
-
-
 @pytest.mark.parametrize("beta", [0.0, 37.5, 100.0, 200.0])
 def test_lower_bound_equals_the_reference_search_on_the_builtins(beta):
     for volume, weight in BUILTIN_DEMANDS:
@@ -250,7 +228,7 @@ def test_lower_bound_equals_the_reference_search_on_shuffled_catalogs():
         assert solve_lower_bound(d, catalog, beta) == reference_lower_bound(d, catalog, beta)
 
 
-def test_lower_bound_equals_exact_enumeration_on_small_catalogs():
+def test_lower_bound_equals_brute_force_on_small_catalogs():
     """Small random catalogs, most with a duplicated type, so two types tie
     exactly on cost per cm^3 and every covering has an equal-cost twin;
     fractional betas; half the demands are exact covers. Float rates and
@@ -271,7 +249,7 @@ def test_lower_bound_equals_exact_enumeration_on_small_catalogs():
             continue
         d = DemandPoint(volume / 1e6, weight)
         beta = rng.choice([0.0, 0.004, 0.0125, rng.uniform(0, 0.1)])
-        assert solve_lower_bound(d, catalog, beta).counts == exact_lower_bound(d, catalog, beta)
+        assert solve_lower_bound(d, catalog, beta) == brute_force_lower_bound(d, catalog, beta)
 
 
 def test_lower_bound_search_work_is_pinned():
