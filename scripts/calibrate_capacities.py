@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tupack.generator import BUILTIN_DEMANDS
-from tupack.geometry import TuType
+from tupack.generator import BUILTIN_DEMANDS, DEFAULT_CATALOG
 from tupack.lowerbound import DemandPoint, solve_lower_bound
 
-# target counts per row over (120x80x130, 120x80x160, 120x100x130,
-# 120x100x160, 120x120x130, 120x120x160)
+# target counts per row over DEFAULT_CATALOG's types, in order (120x80x130,
+# 120x80x160, 120x100x130, 120x100x160, 120x120x130, 120x120x160)
 TARGETS = [
     (1, 5, 1, 1, 0, 2), (0, 1, 1, 1, 0, 0), (0, 1, 0, 5, 1, 0),
     (1, 0, 0, 14, 1, 0), (0, 1, 1, 0, 0, 3), (0, 0, 1, 7, 0, 0),
@@ -68,18 +68,10 @@ TARGETS = [
     (0, 1, 0, 5, 2, 0),
 ]
 
-DIMS = [
-    ("120x80x130", 120, 80, 130),
-    ("120x80x160", 120, 80, 160),
-    ("120x100x130", 120, 100, 130),
-    ("120x100x160", 120, 100, 160),
-    ("120x120x130", 120, 120, 130),
-    ("120x120x160", 120, 120, 160),
-]
-
 
 def catalog_with(caps):
-    return [TuType(i, x, y, z, q) for (i, x, y, z), q in zip(DIMS, caps)]
+    """``DEFAULT_CATALOG`` with the weight capacities ``caps``, in order."""
+    return [replace(t, q=q) for t, q in zip(DEFAULT_CATALOG, caps)]
 
 
 def score(caps, rows=None):

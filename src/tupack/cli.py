@@ -177,12 +177,10 @@ def cmd_validate(args) -> int:
 
 
 def _batch_one(task):
-    """Solve one batch task: its report row (None when the solve failed) and
-    what went wrong, if anything. A malformed instance or parameter still
-    raises ``InputError``; a failed solve is returned, so the batch goes on."""
-    path, args = task
-    inst = _read_input(read_instance, path)
-    params = _params(args, inst)
+    """Solve one batch task, an instance and its checked parameters: its
+    report row (None when the solve failed) and what went wrong, if anything.
+    A failed solve is returned, so the batch goes on."""
+    inst, params = task
     try:
         _, row, problems = _solve(inst, params)
     except Exception as exc:
@@ -193,8 +191,8 @@ def _batch_one(task):
 def cmd_batch(args) -> int:
     if args.jobs < 1:
         raise InputError(f"bad --jobs {args.jobs}: expected at least 1 worker")
-    instances = sorted(Path(args.instances).glob("*.inst.txt"))
-    if not instances:
+    paths = sorted(Path(args.instances).glob("*.inst.txt"))
+    if not paths:
         raise InputError(f"no *.inst.txt under {args.instances}")
     try:
         omegas = [float(t) for t in args.omegas.split(",")]
@@ -202,20 +200,19 @@ def cmd_batch(args) -> int:
         raise InputError(f"bad --omegas {args.omegas!r}: expected comma-separated numbers") from exc
     if len(set(omegas)) < len(omegas):
         raise InputError(f"bad --omegas {args.omegas!r}: an omega is repeated")
-    # the workers check the same ranges, but only once the solves have begun
+    # every file is read and every task's parameters checked before --out is
+    # made and the first solve starts, so an exit 2 leaves nothing behind and
+    # comes after no wasted work
+    instances = [_read_input(read_instance, p) for p in paths]
+    labels, tasks = [], []
     for omega in omegas:
-        try:
-            SearchParams(omega, args.gamma, args.micro_repeats, args.seed)
-        except ValueError as exc:
-            raise InputError(f"bad parameter: {exc}") from exc
-    # one seed per instance position: seed_i = base seed + i
-    tasks = [
-        (str(p), argparse.Namespace(**{**vars(args), "omega": omega, "seed": args.seed + i}))
-        for omega in omegas
-        for i, p in enumerate(instances)
-    ]
-    rows = []
-    failures = 0
+        for i, (path, inst) in enumerate(zip(paths, instances)):
+            # one seed per instance position: seed_i = base seed + i
+            task_args = argparse.Namespace(**{**vars(args), "omega": omega, "seed": args.seed + i})
+            labels.append(f"{path} omega={omega}")
+            tasks.append((inst, _params(task_args, inst)))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     # the pool starts every worker at once, so it gets no more than the tasks
     workers = min(args.jobs, len(tasks))
     if workers > 1:
@@ -223,25 +220,20 @@ def cmd_batch(args) -> int:
             results = list(pool.map(_batch_one, tasks))
     else:
         results = [_batch_one(t) for t in tasks]
-    for (path, task_args), (row, failure) in zip(tasks, results):
-        if row is not None:
-            rows.append(row)
-        if failure:
-            failures += 1
-            print(f"{path} omega={task_args.omega}: {failure}", file=sys.stderr)
-    # made only now, so a malformed instance or flag leaves no directory behind
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    rows = [row for row, _ in results if row is not None]
+    failures = [(label, failure) for label, (_, failure) in zip(labels, results) if failure]
+    for label, failure in failures:
+        print(f"{label}: {failure}", file=sys.stderr)
     write_rows_csv(out / "per_instance.csv", rows)
     summaries, ls_summaries = [], []
     for omega in omegas:
         batch = [r for r in rows if r.omega == omega]
         # an omega whose every solve failed still reports its own value
-        summaries.append({**summarize(batch), "omega": omega})
-        ls_summaries.append({**summarize_local_search(batch), "omega": omega})
+        summaries.append({"omega": omega, **summarize(batch)})
+        ls_summaries.append({"omega": omega, **summarize_local_search(batch)})
     write_summary_csv(out / "summary.csv", summaries)
     write_summary_csv(out / "local_search.csv", ls_summaries)
-    print(f"solved {len(instances)} instances x {len(omegas)} omega values -> {out}")
+    print(f"solved {len(paths)} instances x {len(omegas)} omega values -> {out}")
     return 1 if failures else 0
 
 
@@ -292,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gen-beta", type=float, default=100.0,
                    help="per-TU fixed cost used by the covering model")
     g.add_argument("--bounds", metavar="LB,UB",
-                   help="override carving bounds on all axes")
+                   help="override carving bounds on all axes (schemes 1 and 2)")
     g.add_argument("--catalog", metavar="FILE",
                    help="TU-type catalog file (default: $TUPACK_CATALOG or the "
                         "built-in six pallet types)")
@@ -337,7 +329,7 @@ def main(argv=None) -> int:
     another instance, or an unreadable file; 2 a malformed instance, catalog
     or solution file (such as ``fitness nan``), a flag value malformed,
     non-finite or out of range, or generator input it cannot carve (bounds
-    or a catalog type that does not fit)."""
+    or a catalog type that does not fit, bounds for scheme 3)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

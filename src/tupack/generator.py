@@ -118,11 +118,6 @@ class PartitionBounds:
 # bounds, hence the per-scheme defaults)
 SCHEME1_BOUNDS = PartitionBounds(35, 80, 35, 80, 35, 80)
 SCHEME2_BOUNDS = PartitionBounds(25, 70, 25, 70, 25, 70)
-DEFAULT_BOUNDS = PartitionBounds()
-
-
-def default_bounds_for(scheme: int) -> PartitionBounds:
-    return {1: SCHEME1_BOUNDS, 2: SCHEME2_BOUNDS}.get(scheme, DEFAULT_BOUNDS)
 
 
 def _cut(rng: random.Random, lb: int, ub: int, left: int) -> int:
@@ -315,14 +310,16 @@ def generate_instance(
     and it certifies the lower bound as achievable. Every input it cannot
     use (a non-finite or negative density or beta, a density that overflows
     a box weight, a beta that overflows every covering's objective, bounds
-    larger than a covering type, a type without a perfect partition) raises
-    ``ValueError``.
+    larger than a covering type, bounds for scheme 3, a type without a
+    perfect partition) raises ``ValueError``.
     """
     if scheme not in (1, 2, 3):
         raise ValueError("scheme must be 1, 2 or 3")
+    if scheme == 3 and bounds is not None:
+        raise ValueError("scheme 3 carves a perfect partition and takes no bounds")
     check_nonnegative(density=density, beta=beta)
     if bounds is None:
-        bounds = default_bounds_for(scheme)
+        bounds = {1: SCHEME1_BOUNDS, 2: SCHEME2_BOUNDS}.get(scheme)
     catalog = list(catalog) if catalog is not None else list(DEFAULT_CATALOG)
     lb = solve_lower_bound(demand, catalog, beta)
     rng = random.Random(seed)

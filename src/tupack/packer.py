@@ -101,29 +101,22 @@ def min_height_orientation(box: BoxSpec) -> Orientation:
 def sort_boxes(boxes: list[BoxSpec], tut: TuType, sp: SortParams = DEFAULT_SORT) -> list[BoxSpec]:
     """Insertion order: heavy clusters first, then large-base, then tall.
 
-    Each box is first rotated to its minimum-height orientation; boxes are
-    bucketed into ``n`` weight clusters of width Q/n and, within those, into
-    ``m`` base-area clusters of width X*Y/m. Buckets are emitted heaviest and
-    largest first, internally sorted by decreasing height, stable on input
-    order. Boxes heavier than the capacity land in the top weight cluster.
+    Each box is first rotated to its minimum-height orientation; it falls in
+    one of ``n`` weight clusters of width Q/n and one of ``m`` base-area
+    clusters of width X*Y/m. One stable sort orders the boxes by decreasing
+    weight cluster, then base-area cluster, then height, so input order breaks
+    the ties. Boxes heavier than the capacity land in the top weight cluster.
     """
     q = tut.q
     base_cap = tut.x * tut.y
-    buckets: dict[tuple[int, int], list[tuple[int, BoxSpec]]] = {}
-    for box in boxes:
+
+    def key(box: BoxSpec) -> tuple[int, int, int]:
         o = min_height_orientation(box)
         wi = (box.weight * sp.n + q - 1) // q if box.weight > 0 else 1
-        wi = min(max(wi, 1), sp.n)
-        area = o.w * o.l
-        bj = (area * sp.m + base_cap - 1) // base_cap
-        bj = min(max(bj, 1), sp.m)
-        buckets.setdefault((wi, bj), []).append((o.h, box))
-    ordered: list[BoxSpec] = []
-    for key in sorted(buckets, reverse=True):
-        group = buckets[key]
-        group.sort(key=lambda t: -t[0])  # stable: input order breaks height ties
-        ordered.extend(box for _, box in group)
-    return ordered
+        bj = (o.w * o.l * sp.m + base_cap - 1) // base_cap
+        return -min(max(wi, 1), sp.n), -min(max(bj, 1), sp.m), -o.h
+
+    return sorted(boxes, key=key)
 
 
 # ---------------------------------------------------------------------------

@@ -107,12 +107,12 @@ def format_row(row: RunRow) -> str:
 
 
 def summarize(rows: list[RunRow]) -> dict:
-    """Quality aggregate of one omega batch. The keys, in order, follow the
-    columns of the published result tables: TU count, volume gap, centering
-    indexes, time, optima, extreme fill rates."""
+    """Quality aggregate of one omega batch, without the omega, which the
+    caller puts first. The keys, in order, follow the columns of the
+    published result tables: TU count, volume gap, centering indexes, time,
+    optima, extreme fill rates."""
     with_lb = [r for r in rows if r.delta_volume_pct is not None]
     return {
-        "omega": rows[0].omega if rows else 0.0,
         "instances": len(rows),
         "n_tu": _avg(r.n_tu for r in rows),
         "delta_volume_pct": _avg(r.delta_volume_pct for r in with_lb),
@@ -126,9 +126,9 @@ def summarize(rows: list[RunRow]) -> dict:
 
 
 def summarize_local_search(rows: list[RunRow]) -> dict:
-    """Local-search effectiveness aggregate of one omega batch."""
+    """Local-search effectiveness aggregate of one omega batch, without the
+    omega."""
     return {
-        "omega": rows[0].omega if rows else 0.0,
         "n_improvements_ls1": sum(1 for r in rows if r.ls1_improvements),
         "avg_improvement_ls1_pct": _avg(r.ls1_gain_pct for r in rows),
         "max_improvement_ls1_pct": max((r.ls1_gain_pct for r in rows), default=0.0),

@@ -8,7 +8,10 @@ criteria through a session-scoped fixture.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -253,19 +256,29 @@ def _batch_demands(count=100):
     ]
 
 
+def _solve_demand(job):
+    """The six runs of batch demand i: schemes 1-3, each at omega 75 and 95."""
+    i, (v, w) = job
+    runs = []
+    for scheme in (1, 2, 3):
+        inst, _ = generate_instance(
+            DemandPoint(v, w), scheme, name=f"c6_{i:03d}_s{scheme}", seed=500 + i
+        )
+        for omega in (75.0, 95.0):
+            stats = SolveStats()
+            sol = solve(inst, search=SearchParams(seed=i, omega=omega), stats=stats)
+            runs.append((inst, omega, sol, stats))
+    return runs
+
+
 @pytest.fixture(scope="session")
 def solved_batch():
-    runs = []
-    for i, (v, w) in enumerate(_batch_demands()):
-        for scheme in (1, 2, 3):
-            inst, _ = generate_instance(
-                DemandPoint(v, w), scheme, name=f"c6_{i:03d}_s{scheme}", seed=500 + i
-            )
-            for omega in (75.0, 95.0):
-                stats = SolveStats()
-                sol = solve(inst, search=SearchParams(seed=i, omega=omega), stats=stats)
-                runs.append((inst, omega, sol, stats))
-    return runs
+    # the demands solve independently, one process per usable CPU; map keeps
+    # the demands' order, so the runs come back as a serial loop makes them
+    with ProcessPoolExecutor(max_workers=len(os.sched_getaffinity(0)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return [run for runs in pool.map(_solve_demand, enumerate(_batch_demands()))
+                for run in runs]
 
 
 def test_criterion_6_feasibility_by_construction(solved_batch, tmp_path):

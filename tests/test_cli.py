@@ -120,16 +120,12 @@ def test_batch_reports(workspace):
     assert ls[0].startswith("omega,n_improvements_ls1")
 
 
-@pytest.mark.parametrize("names, jobs, pools", [
-    (["gen001_s3"], "64", []),  # one task runs in-process, with no pool
-    (["gen001_s3", "gen002_s3"], "64", [2]),
-])
-def test_batch_starts_no_more_workers_than_tasks(workspace, monkeypatch, names, jobs, pools):
+def _record_pools(monkeypatch):
+    """Replace the batch's process pool with one that maps in-process;
+    returns the list of pool sizes asked for."""
     sizes = []
 
     class SerialPool:
-        """Records the pool size asked for and maps in-process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -143,6 +139,28 @@ def test_batch_starts_no_more_workers_than_tasks(workspace, monkeypatch, names, 
             return map(fn, tasks)
 
     monkeypatch.setattr("tupack.cli.ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def _count_solves(monkeypatch):
+    """Count the CLI's calls of ``solve``; returns the list they append to."""
+    calls = []
+    real = tupack.cli.solve
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tupack.cli, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("names, jobs, pools", [
+    (["gen001_s3"], "64", []),  # one task runs in-process, with no pool
+    (["gen001_s3", "gen002_s3"], "64", [2]),
+])
+def test_batch_starts_no_more_workers_than_tasks(workspace, monkeypatch, names, jobs, pools):
+    sizes = _record_pools(monkeypatch)
     (workspace / "some").mkdir()
     for name in names:
         (workspace / "some" / f"{name}.inst.txt").write_bytes(
@@ -152,6 +170,48 @@ def test_batch_starts_no_more_workers_than_tasks(workspace, monkeypatch, names, 
     assert rc == 0
     assert sizes == pools
     assert len((workspace / "r" / "per_instance.csv").read_text().splitlines()) == 1 + len(names)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("line, flags", [
+    ("alpha -1", ()),
+    ("theta 10000", ("--alpha", "1e9")),  # alpha*theta above the limit with this file only
+], ids=["malformed file", "flag out of range with it"])
+def test_batch_checks_every_instance_before_the_first_solve(workspace, monkeypatch, capsys,
+                                                            jobs, line, flags):
+    """An instance sorted after the good ones that fails, alone or with a
+    flag, stops the batch before any solve and before any pool starts: one
+    error line, exit 2, and no report directory."""
+    some = workspace / "some"
+    some.mkdir()
+    for src in (workspace / "inst").glob("*.inst.txt"):
+        (some / src.name).write_bytes(src.read_bytes())
+    text = (some / "gen001_s3.inst.txt").read_text()
+    text, n = re.subn(rf"^{line.split()[0]} .*$", line, text, count=1, flags=re.M)
+    assert n == 1
+    (some / "zz_last.inst.txt").write_text(text)
+    solves, pools = _count_solves(monkeypatch), _record_pools(monkeypatch)
+    out = workspace / "r"
+    rc = run_cli("batch", "--instances", some, "--out", out, "--omegas", "75,95",
+                 "--jobs", jobs, *flags)
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert solves == [] and pools == []
+    assert not out.exists()
+
+
+def test_batch_out_that_cannot_be_made_exits_1_before_any_solve(workspace, monkeypatch,
+                                                                capsys):
+    solves = _count_solves(monkeypatch)
+    out = workspace / "taken"
+    out.write_text("a file, not a directory\n")
+    rc = run_cli("batch", "--instances", workspace / "inst", "--out", out, "--omegas", "95")
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert solves == []
+    assert out.read_text() == "a file, not a directory\n"
 
 
 def test_bare_solve_parses_to_the_solver_defaults(workspace):
@@ -544,6 +604,9 @@ _MALFORMED = {
     "huge finite demand volume": _generate("--demand", "1e300,100"),
     "huge finite demand weight": _generate("--demand", "1,1e300"),
     "bounds above every type": _generate_with("--bounds", "200,300"),
+    "bounds with scheme 3": lambda workspace, tmp_path: [
+        "generate", "--scheme", "3", "--demand", "1,100", "--bounds", "30,60",
+        "--out", tmp_path / "gen"],
     "nothing to generate": _generate(),
     "NaN cost-theta": _solve_with("--cost-theta", "nan"),
     "NaN cost-lambda": _solve_with("--cost-lambda", "nan"),
@@ -569,10 +632,10 @@ _MALFORMED = {
     "batch omega above 100": _batch_with_omegas("150"),
     "batch negative omega": _batch_with_omegas("-5"),
     "batch NaN omega": _batch_with_omegas("nan"),
-    "batch infinite alpha in workers": lambda workspace, tmp_path: [
+    "batch infinite alpha, two jobs": lambda workspace, tmp_path: [
         "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--alpha", "inf",
         "--jobs", "2"],
-    "batch gamma in workers": lambda workspace, tmp_path: [
+    "batch negative gamma, two jobs": lambda workspace, tmp_path: [
         "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas", "95",
         "--gamma", "-1", "--jobs", "2"],
 }
@@ -601,8 +664,9 @@ def test_malformed_input_exits_2_with_one_error_line(workspace, tmp_path, case):
 
 
 def test_huge_sort_cluster_counts_solve(workspace, tmp_path):
-    """The insertion-order sort visits only the clusters that hold boxes, so
-    1e5 x 1e5 weight and base-area clusters solve like the defaults."""
+    """The insertion-order sort keys each box by its cluster indexes and
+    never walks the clusters, so 1e5 x 1e5 weight and base-area clusters
+    solve like the defaults."""
     argv = _solve_with("--sort-n", "100000", "--sort-m", "100000")(workspace, tmp_path)
     proc = _cli_process(argv, timeout=60)
     assert proc.returncode == 0, proc.stderr

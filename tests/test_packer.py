@@ -109,6 +109,51 @@ def test_sort_overweight_box_lands_in_top_cluster():
     assert out[0].id == "bulky"
 
 
+def reference_sort_boxes(boxes, tut, sp=SortParams()):
+    """The insertion order built bucket by bucket: boxes go into (weight
+    cluster, base-area cluster) buckets, emitted in decreasing key order,
+    each sorted by decreasing height, stable on input order."""
+    from tupack.packer import min_height_orientation
+
+    q, base_cap = tut.q, tut.x * tut.y
+    buckets = {}
+    for box in boxes:
+        o = min_height_orientation(box)
+        wi = (box.weight * sp.n + q - 1) // q if box.weight > 0 else 1
+        wi = min(max(wi, 1), sp.n)
+        bj = (o.w * o.l * sp.m + base_cap - 1) // base_cap
+        bj = min(max(bj, 1), sp.m)
+        buckets.setdefault((wi, bj), []).append((o.h, box))
+    ordered = []
+    for key in sorted(buckets, reverse=True):
+        group = buckets[key]
+        group.sort(key=lambda t: -t[0])
+        ordered.extend(box for _, box in group)
+    return ordered
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sort_matches_the_bucketed_reference(seed):
+    """Random TU types and boxes, with zero and over-capacity weights,
+    rotation and stackability flags, repeated shapes (so ties are common)
+    and cluster counts of 1-6 or 1e5."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        tut = TuType("t", rng.randint(40, 160), rng.randint(40, 160), rng.randint(40, 200),
+                     rng.randint(50, 2000))
+        shapes = [(rng.randint(5, 120), rng.randint(5, 120), rng.randint(5, 120))
+                  for _ in range(rng.randint(1, 8))]
+        boxes = []
+        for i in range(rng.randint(0, 60)):
+            weight = rng.choice([0, rng.randint(1, tut.q), rng.randint(tut.q, 3 * tut.q)])
+            boxes.append(BoxSpec(f"b{i}", *rng.choice(shapes), weight, rng.random() < 0.5,
+                                 rng.random() < 0.5, rng.random() < 0.75))
+        huge = 100_000
+        sp = rng.choice([SortParams(rng.randint(1, 6), rng.randint(1, 6)),
+                         SortParams(huge, huge)])
+        assert sort_boxes(boxes, tut, sp) == reference_sort_boxes(boxes, tut, sp)
+
+
 # ---------------------------------------------------------------------------
 # worked example: EP list reconstruction and selection
 
