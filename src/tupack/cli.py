@@ -29,8 +29,8 @@ from .geometry import ObjectiveParams
 from .lowerbound import DemandPoint
 from .packer import DEFAULT_COST, DEFAULT_SORT, CostParams, SortParams
 from .reports import (
-    compare,
     format_row,
+    measures,
     run_row,
     summarize,
     summarize_local_search,
@@ -254,13 +254,13 @@ def cmd_compare(args) -> int:
     inst = _read_input(read_instance, args.instance)
     sol_a, _, _ = _read_input(read_solution, args.solution_a, inst)
     sol_b, _, _ = _read_input(read_solution, args.solution_b, inst)
-    c = compare(sol_a, sol_b)
+    (n_a, vol_a, xy_a, z_a), (n_b, vol_b, xy_b, z_b) = measures(sol_a), measures(sol_b)
     print("metric,A,B")
-    print(f"n_tu,{c.n_tu_a},{c.n_tu_b}")
-    print(f"volume_liters,{c.volume_a:.0f},{c.volume_b:.0f}")
-    print(f"delta_volume_pct,0.00,{c.delta_volume_pct:.2f}")
-    print(f"ci_xy,{c.ci_xy_a:.4f},{c.ci_xy_b:.4f}")
-    print(f"ci_z,{c.ci_z_a:.4f},{c.ci_z_b:.4f}")
+    print(f"n_tu,{n_a},{n_b}")
+    print(f"volume_liters,{vol_a:.0f},{vol_b:.0f}")
+    print(f"delta_volume_pct,0.00,{100.0 * (vol_b - vol_a) / vol_a if vol_a else 0.0:.2f}")
+    print(f"ci_xy,{xy_a:.4f},{xy_b:.4f}")
+    print(f"ci_z,{z_a:.4f},{z_b:.4f}")
     return 0
 
 

@@ -1,24 +1,29 @@
-"""Line-oriented text formats for instances and solutions.
+"""Line-oriented text formats for instances, solutions and TU-type catalogs.
 
-Both formats are whitespace-separated token lines, human-diffable, with
+Every format is whitespace-separated token lines, human-diffable, with
 ``#`` comments and blank lines ignored. All lengths are integer centimeters
-and weights integer kilograms. Parsing is strict: unknown record tags,
-malformed counts and weights that are not finite numbers >= 0 raise
-``FormatError`` naming their line.
+and weights integer kilograms. Each record holds exactly the fields shown
+(their count in brackets), the header reads ``format KIND 1``, and only
+``tutype``, ``lb``, ``box`` and ``placement`` records may repeat. Names and
+ids are single tokens without ``#``: the writers raise ``ValueError`` on
+others. The parsers raise ``FormatError`` naming the line on any other
+record, malformed counts and weights that are not finite numbers >= 0.
 
 Instance file:
-    format instance 1
-    name NAME
-    alpha FLOAT / beta FLOAT / theta FLOAT
-    tutype ID X Y Z Q               (one per catalog type, ordered)
-    lb ID COUNT                     (optional covering lower bound, sparse)
-    box ID W L H WEIGHT TXZ TYZ STACKABLE
+    format instance 1                       [2]
+    name NAME                               [1]
+    alpha FLOAT / beta FLOAT / theta FLOAT  [1 each]
+    tutype ID X Y Z Q                       [5; one per catalog type, ordered]
+    lb ID COUNT                             [2; optional lower bound, sparse]
+    box ID W L H WEIGHT TXZ TYZ STACKABLE   [8]
 
 Solution file:
-    format solution 1
-    instance NAME
-    fitness FLOAT
-    placement TU_INDEX TUTYPE_ID BOX_ID ORIENTATION_CODE X Y Z
+    format solution 1                       [2]
+    instance NAME                           [1; before every other record]
+    fitness FLOAT                           [1]
+    placement TU_INDEX TUTYPE_ID BOX_ID ORIENTATION_CODE X Y Z   [7]
+
+Catalog file (no header): ``tutype`` records only.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ from .geometry import (
     Placement,
     Solution,
     TuType,
-    _extents,
     check_nonnegative,
+    extents,
     fitness,
 )
-from .lowerbound import LowerBound, _objective_liters
+from .lowerbound import LowerBound
 
 
 class FormatError(ValueError):
@@ -59,12 +64,21 @@ def _parse_flag(tok: str) -> bool:
     return tok == "1"
 
 
+def _check_tokens(values: list[str]):
+    """Raise ``ValueError`` naming the first name or id in ``values`` (the
+    instance name first) that would not read back as itself: empty, or
+    holding whitespace or ``#``."""
+    joined = "".join(values)
+    if "#" in joined or joined.split() != [joined] or not all(values):
+        bad = next(v for v in values if "#" in v or v.split() != [v])
+        raise ValueError(f"name or id {bad!r} is not one token without '#'")
+
+
 def dump_instance(inst: Instance) -> str:
-    lines = ["format instance 1", f"name {inst.name}"]
+    _check_tokens([inst.name, *[t.id for t in inst.catalog], *[b.id for b in inst.boxes]])
     o = inst.objective
-    lines.append(f"alpha {o.alpha!r}")
-    lines.append(f"beta {o.beta!r}")
-    lines.append(f"theta {o.theta!r}")
+    lines = ["format instance 1", f"name {inst.name}", f"alpha {o.alpha!r}",
+             f"beta {o.beta!r}", f"theta {o.theta!r}"]
     for t in inst.catalog:
         lines.append(f"tutype {t.id} {t.x} {t.y} {t.z} {t.q}")
     if inst.lower_bound is not None:
@@ -72,16 +86,14 @@ def dump_instance(inst: Instance) -> str:
             if c:
                 lines.append(f"lb {t.id} {c}")
     for b in inst.boxes:
-        lines.append(
-            f"box {b.id} {b.width} {b.length} {b.height} {b.weight} "
-            f"{_flag(b.txz)} {_flag(b.tyz)} {_flag(b.stackable)}"
-        )
+        lines.append(f"box {b.id} {b.width} {b.length} {b.height} {b.weight} "
+                     f"{_flag(b.txz)} {_flag(b.tyz)} {_flag(b.stackable)}")
     return "\n".join(lines) + "\n"
 
 
 class _at:
-    """``with _at(ln):`` reports an ``IndexError``/``ValueError`` raised
-    while handling the record on line ``ln`` as ``FormatError("line N: ...")``."""
+    """``with _at(ln):`` reports a ``ValueError`` raised while handling the
+    record on line ``ln`` as ``FormatError("line N: ...")``."""
 
     __slots__ = ("ln",)
 
@@ -92,28 +104,46 @@ class _at:
         pass
 
     def __exit__(self, kind, exc, tb):
-        if isinstance(exc, (IndexError, ValueError)):
+        if isinstance(exc, ValueError):
             raise (kind if issubclass(kind, FormatError) else FormatError)(
                 f"line {self.ln}: {exc}") from exc
 
 
-def _records(text: str, kind: str | None = None):
+# Each record tag of a format and its token count, tag included; a negative
+# count marks a record that may appear once.
+_INSTANCE = {"format": -3, "name": -2, "alpha": -2, "beta": -2, "theta": -2,
+             "tutype": 6, "lb": 3, "box": 9}
+_SOLUTION = {"format": -3, "instance": -2, "fitness": -2, "placement": 8}
+
+
+def _records(text: str, tags: dict[str, int], kind: str):
     """Yield ``(line number, tokens)`` for every record, skipping comments
-    and blank lines. With a ``kind``, the ``format KIND`` header is checked
-    and consumed, and a file without one is rejected."""
-    saw_header = False
+    and blank lines. A record whose tag is not in ``tags``, whose field
+    count is not its tag's, or that repeats a single-valued record raises
+    ``FormatError`` naming its line. When ``tags`` hold ``format``, the
+    ``format KIND 1`` header is checked and consumed, and required."""
+    left = dict(tags)  # a single-valued tag's count turns 0 once it is read
     for ln, raw in enumerate(text.splitlines(), 1):
         toks = raw.split("#", 1)[0].split()
-        if kind and toks[:1] == ["format"]:
-            with _at(ln):
-                if toks[1] != kind:
-                    article = "an" if kind[0] in "aeiou" else "a"
-                    raise FormatError(f"not {article} {kind} file")
-            saw_header = True
-        elif toks:
-            yield ln, toks
-    if kind and not saw_header:
-        raise FormatError(f"missing 'format {kind}' header")
+        if not toks:
+            continue
+        if left.get(toks[0]) != len(toks):
+            # also taken by the first record of each single-valued tag
+            tag, want = toks[0], abs(tags.get(toks[0], 0))
+            if not want:
+                raise FormatError(f"line {ln}: {kind} files hold no {tag!r} records")
+            if want != len(toks):
+                raise FormatError(f"line {ln}: {tag!r} takes {want - 1} fields, got {len(toks) - 1}")
+            if not left[tag]:
+                raise FormatError(f"line {ln}: second {tag!r} record")
+            left[tag] = 0
+            if tag == "format":
+                if toks[1:] != [kind, "1"]:
+                    raise FormatError(f"line {ln}: expected 'format {kind} 1', not {' '.join(toks)!r}")
+                continue
+        yield ln, toks
+    if left.get("format"):
+        raise FormatError(f"missing 'format {kind} 1' header")
 
 
 def _tutype(toks: list[str], seen: set[str]) -> TuType:
@@ -133,15 +163,16 @@ def parse_instance(text: str) -> Instance:
     boxes: list[BoxSpec] = []
     type_ids: set[str] = set()
     box_ids: set[str] = set()
-    for ln, toks in _records(text, "instance"):
+    for ln, toks in _records(text, _INSTANCE, "instance"):
         tag = toks[0]
         with _at(ln):
-            if tag == "name":
-                name = toks[1]
-            elif tag in ("alpha", "beta", "theta"):
-                weights[tag], weight_ln[tag] = float(toks[1]), ln
-                # unread weights count as 0: alpha*theta fails at its later line
-                ObjectiveParams(**{"alpha": 0.0, "theta": 0.0, **weights})
+            if tag == "box":
+                if toks[1] in box_ids:
+                    raise FormatError(f"duplicate box id {toks[1]!r}")
+                box_ids.add(toks[1])
+                boxes.append(BoxSpec(
+                    toks[1], int(toks[2]), int(toks[3]), int(toks[4]), int(toks[5]),
+                    _parse_flag(toks[6]), _parse_flag(toks[7]), _parse_flag(toks[8])))
             elif tag == "tutype":
                 catalog.append(_tutype(toks, type_ids))
             elif tag == "lb":
@@ -150,19 +181,12 @@ def parse_instance(text: str) -> Instance:
                 lb_counts[toks[1]] = int(toks[2])
                 if lb_counts[toks[1]] < 0:
                     raise FormatError(f"negative lb count {toks[2]}")
-            elif tag == "box":
-                if toks[1] in box_ids:
-                    raise FormatError(f"duplicate box id {toks[1]!r}")
-                box_ids.add(toks[1])
-                boxes.append(
-                    BoxSpec(
-                        toks[1], int(toks[2]), int(toks[3]), int(toks[4]), int(toks[5]),
-                        txz=_parse_flag(toks[6]), tyz=_parse_flag(toks[7]),
-                        stackable=_parse_flag(toks[8]),
-                    )
-                )
-            else:
-                raise FormatError(f"unknown record {tag!r}")
+            elif tag == "name":
+                name = toks[1]
+            else:  # alpha, beta or theta
+                weights[tag], weight_ln[tag] = float(toks[1]), ln
+                # unread weights count as 0: alpha*theta fails at its later line
+                ObjectiveParams(**{"alpha": 0.0, "theta": 0.0, **weights})
     if not catalog:
         raise FormatError("instance has no TU types")
     # a default alpha or theta can still push alpha*theta above the limit
@@ -174,19 +198,16 @@ def parse_instance(text: str) -> Instance:
         if unknown:
             raise FormatError(f"lb records reference unknown types {sorted(unknown)}")
         counts = tuple(lb_counts.get(t.id, 0) for t in catalog)
-        vols = [t.volume_cm3 for t in catalog]
-        lower = LowerBound(counts, _objective_liters(counts, vols, params.beta))
+        lower = LowerBound.of(counts, catalog, params.beta)
     return Instance(name, boxes, catalog, params, lower)
 
 
 def dump_solution(sol: Solution, instance_name: str, objective: ObjectiveParams) -> str:
-    lines = ["format solution 1", f"instance {instance_name}"]
-    lines.append(f"fitness {fitness(sol, objective)!r}")
+    _check_tokens([instance_name, *[tu.tu_type.id for tu in sol.tus], *sol.box_ids()])
+    lines = ["format solution 1", f"instance {instance_name}", f"fitness {fitness(sol, objective)!r}"]
     for ti, tu in enumerate(sol.tus):
         for p in tu.placements:
-            lines.append(
-                f"placement {ti} {tu.tu_type.id} {p.box.id} {p.code} {p.x} {p.y} {p.z}"
-            )
+            lines.append(f"placement {ti} {tu.tu_type.id} {p.box.id} {p.code} {p.x} {p.y} {p.z}")
     return "\n".join(lines) + "\n"
 
 
@@ -205,7 +226,7 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
     inst_name = None
     recorded_fitness = float("nan")
     tus: dict[int, LoadedTu] = {}
-    for ln, toks in _records(text, "solution"):
+    for ln, toks in _records(text, _SOLUTION, "solution"):
         tag = toks[0]
         with _at(ln):
             if tag == "instance":
@@ -218,7 +239,7 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
             elif tag == "fitness":
                 recorded_fitness = float(toks[1])
                 check_nonnegative(fitness=recorded_fitness)
-            elif tag == "placement":
+            else:  # placement
                 ti, type_id, box_id, code = int(toks[1]), toks[2], toks[3], toks[4]
                 x, y, z = int(toks[5]), int(toks[6]), int(toks[7])
                 if type_id not in types:
@@ -233,9 +254,7 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
                 elif tu.tu_type.id != type_id:
                     raise FormatError(f"TU {ti} listed with two types")
                 box = boxes[box_id]
-                tu.add(Placement(box, code, *_extents(box, code), x, y, z))
-            else:
-                raise FormatError(f"unknown record {tag!r}")
+                tu.add(Placement(box, code, *extents(box, code), x, y, z))
     if inst_name is None:
         raise OtherInstanceError("no 'instance' record")
     placed = {p.box.id for tu in tus.values() for p in tu.placements}
@@ -248,10 +267,8 @@ def parse_catalog(text: str) -> list[TuType]:
     """Read a TU-type catalog: one ``tutype ID X Y Z Q`` record per line."""
     catalog: list[TuType] = []
     type_ids: set[str] = set()
-    for ln, toks in _records(text):
+    for ln, toks in _records(text, {"tutype": 6}, "catalog"):
         with _at(ln):
-            if toks[0] != "tutype":
-                raise FormatError("catalog files hold only tutype records")
             catalog.append(_tutype(toks, type_ids))
     if not catalog:
         raise FormatError("catalog file has no tutype records")

@@ -94,7 +94,8 @@ class Orientation:
     h: int
 
 
-def _extents(box: BoxSpec, code: str) -> tuple[int, int, int]:
+def extents(box: BoxSpec, code: str) -> tuple[int, int, int]:
+    """The box's extents along X, Y, Z under orientation ``code``."""
     dims = {"w": box.width, "l": box.length, "h": box.height}
     return dims[code[0]], dims[code[1]], dims[code[2]]
 
@@ -118,7 +119,7 @@ def enumerate_orientations(box: BoxSpec) -> tuple[Orientation, ...]:
     for code in ORIENTATION_CODES:
         if not orientation_allowed(box, code):
             continue
-        ext = _extents(box, code)
+        ext = extents(box, code)
         if ext in seen:
             continue
         seen.add(ext)
@@ -279,7 +280,7 @@ def validate_tu(tu: LoadedTu) -> list[Violation]:
 
     for p in tu.placements:
         if not (p.code in ORIENTATION_CODES and orientation_allowed(p.box, p.code)
-                and _extents(p.box, p.code) == (p.w, p.l, p.h)):
+                and extents(p.box, p.code) == (p.w, p.l, p.h)):
             out.append(Violation("orientation", (p.box.id,), f"illegal orientation {p.code}"))
         if not within_bounds(p, tut):
             out.append(Violation("bounds", (p.box.id,), f"box exceeds TU {tut.id} bounds"))
@@ -373,9 +374,8 @@ DEFAULT_OBJECTIVE = ObjectiveParams()
 
 
 def tu_objective_term(tu: LoadedTu, params: ObjectiveParams) -> float:
-    """One TU's contribution: volume (liters) plus the weighted CG term."""
-    if not tu.placements:
-        raise EmptyTuError("objective term of an empty TU is undefined")
+    """One TU's contribution: volume (liters) plus the weighted CG term;
+    ``center_of_gravity`` raises ``EmptyTuError`` for an empty TU."""
     cg = center_of_gravity(tu)
     return tu.tu_type.volume_liters + params.alpha * (cg.mxy * cg.mz + params.theta)
 

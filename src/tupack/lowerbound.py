@@ -42,6 +42,12 @@ class LowerBound:
     def as_mapping(self, catalog: list[TuType]) -> dict[str, int]:
         return {t.id: c for t, c in zip(catalog, self.counts) if c > 0}
 
+    @classmethod
+    def of(cls, counts: tuple[int, ...], catalog: list[TuType], beta: float) -> "LowerBound":
+        """``counts`` TUs per catalog type, priced at their liters plus ``beta`` per TU."""
+        volume_cm3 = sum(c * t.volume_cm3 for c, t in zip(counts, catalog))
+        return cls(counts, volume_cm3 / 1000.0 + beta * sum(counts))
+
 
 # Most TUs a demand may need before the exact search is refused. At beta =
 # 100 the search is quick at any count allowed (on a 2-vCPU VM, Python 3.11,
@@ -74,10 +80,6 @@ def _scaled(demand: DemandPoint, catalog: list[TuType]):
 def _suffix_min(values: list[float]) -> list[float]:
     """Per index i, the least of ``values[i:]``."""
     return list(accumulate(reversed(values), min))[::-1]
-
-
-def _objective_liters(counts, vols_cm3, beta: float) -> float:
-    return sum(c * v for c, v in zip(counts, vols_cm3)) / 1000.0 + beta * sum(counts)
 
 
 def solve_lower_bound(
@@ -162,4 +164,4 @@ def solve_lower_bound(
     dfs(0, 0, need_v, need_w)
     if best[1] is None:
         raise ValueError("no finite covering: the objective overflows for every TU count")
-    return LowerBound(best[1], _objective_liters(best[1], vols, beta))
+    return LowerBound.of(best[1], catalog, beta)

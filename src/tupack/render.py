@@ -8,6 +8,8 @@ concatenation, so identical solutions render to identical bytes.
 
 from __future__ import annotations
 
+from html import escape
+
 from .geometry import LoadedTu, center_of_gravity, fill_rate
 
 _PALETTE = [
@@ -82,7 +84,7 @@ def render_tu_svg(tu: LoadedTu, title: str = "") -> str:
     ).strip()
     parts.append(
         f'<text x="{_MARGIN}" y="{total_h - 6}" font-size="12" '
-        f'font-family="sans-serif">{caption}</text>'
+        f'font-family="sans-serif">{escape(caption, quote=False)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

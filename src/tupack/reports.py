@@ -44,11 +44,13 @@ def _avg(vals):
     return sum(vals) / len(vals) if vals else 0.0
 
 
-def _centering(sol: Solution) -> tuple[float, float]:
-    """Mean CG offset (``mxy``) and mean relative CG height (``mz``) over
-    the solution's TUs; both 0 without TUs."""
+def measures(sol: Solution) -> tuple[int, float, float, float]:
+    """A solution's TU count, total TU volume in liters, mean CG offset
+    (``mxy``) and mean relative CG height (``mz``); both means are 0
+    without TUs."""
     cgs = [center_of_gravity(tu) for tu in sol.tus]
-    return _avg(c.mxy for c in cgs), _avg(c.mz for c in cgs)
+    return (len(sol.tus), sol.total_volume_liters(),
+            _avg(c.mxy for c in cgs), _avg(c.mz for c in cgs))
 
 
 def run_row(
@@ -64,8 +66,7 @@ def run_row(
     equal-volume mix of other types counts too.
     """
     fills = [fill_rate(tu) for tu in sol.tus]
-    ci_xy, ci_z = _centering(sol)
-    vol = sol.total_volume_liters()
+    n_tu, vol, ci_xy, ci_z = measures(sol)
     lb_vol = inst.lb_volume_liters()
     delta = None
     optimal = None
@@ -75,7 +76,7 @@ def run_row(
     row = RunRow(
         instance=inst.name,
         omega=omega,
-        n_tu=len(sol.tus),
+        n_tu=n_tu,
         volume_liters=vol,
         delta_volume_pct=delta,
         ci_xy=ci_xy,
@@ -155,27 +156,3 @@ def write_summary_csv(path: str | Path, summaries: list[dict]):
         writer = csv.DictWriter(fh, fieldnames=list(summaries[0]))
         writer.writeheader()
         writer.writerows(summaries)
-
-
-@dataclass
-class Comparison:
-    """Two solutions of the same instance side by side."""
-
-    n_tu_a: int
-    n_tu_b: int
-    volume_a: float
-    volume_b: float
-    delta_volume_pct: float
-    ci_xy_a: float
-    ci_xy_b: float
-    ci_z_a: float
-    ci_z_b: float
-
-
-def compare(sol_a: Solution, sol_b: Solution) -> Comparison:
-    """Volume and centering comparison (B relative to A)."""
-    va, vb = sol_a.total_volume_liters(), sol_b.total_volume_liters()
-    xy_a, z_a = _centering(sol_a)
-    xy_b, z_b = _centering(sol_b)
-    delta = 100.0 * (vb - va) / va if va else 0.0
-    return Comparison(len(sol_a.tus), len(sol_b.tus), va, vb, delta, xy_a, xy_b, z_a, z_b)

@@ -375,6 +375,18 @@ def test_render_worked_example(tmp_path, worked_example_tu):
     assert "fill" in caption
 
 
+def test_render_escapes_the_tu_type_id(tmp_path):
+    """A TU-type id is any token without ``#``, so ``A&B<1>`` is one; its
+    caption made the SVG malformed XML."""
+    from tupack.geometry import BoxSpec, LoadedTu, Placement, TuType
+
+    tu = LoadedTu(TuType("A&B<1>", 120, 80, 130, 1000))
+    tu.add(Placement(BoxSpec("b1", 10, 10, 10, 5), "wlh", 10, 10, 10, 0, 0, 0))
+    root = ET.fromstring(render_tu_svg(tu, title="TU 0"))
+    caption = root.findall("{http://www.w3.org/2000/svg}text")[-1].text
+    assert caption.startswith("TU 0 A&B<1>: 1 boxes")
+
+
 def test_render_cli_outputs_one_svg_per_tu(workspace):
     inst_path = workspace / "inst" / "gen002_s3.inst.txt"
     ref_path = workspace / "inst" / "gen002_s3.ref.txt"
@@ -496,6 +508,35 @@ def test_solve_rejects_duplicate_box_ids(workspace, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.endswith(f"duplicate box id {ids[0]!r}") and "\n" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, pattern, repl, after", [
+    ("solve", r"^(box .*)$", r"\1 junk", 0),
+    ("solve", r"^format instance 1$", "format instance 2", 0),
+    ("solve", r"^(name .*)$", r"\1\nname other", 1),
+    ("validate", r"^(fitness .*)$", r"\1\n\1", 1),
+    ("compare", r"^format solution 1$", "format solution 1\nformat solution 1", 1),
+], ids=["appended token", "version 2", "second name", "second fitness", "second header"])
+def test_record_of_the_wrong_shape_exits_2_naming_file_and_line(workspace, tmp_path, capsys,
+                                                                command, pattern, repl, after):
+    """Each strict-record check is one ``error: PATH: line N: ...`` line,
+    exit 2, and no output; the bad record is ``after`` lines below the
+    edited one."""
+    inst = workspace / "inst" / "gen001_s3.inst.txt"
+    ref = workspace / "inst" / "gen001_s3.ref.txt"
+    source = inst if command == "solve" else ref
+    text = source.read_text()
+    ln = text[:re.search(pattern, text, flags=re.M).start()].count("\n") + 1 + after
+    text = re.sub(pattern, repl, text, count=1, flags=re.M)
+    bad = tmp_path / ("bad.inst.txt" if command == "solve" else "bad.sol.txt")
+    bad.write_text(text)
+    files = {"solve": [bad, "--out", tmp_path / "x.sol.txt"], "validate": [inst, bad],
+             "compare": [inst, ref, bad]}[command]
+    capsys.readouterr()
+    assert run_cli(command, *files) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(rf"error: {re.escape(str(bad))}: line {ln}: [^\n]+\n", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["inst", bad.name])
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tupack.fileio import (
     FormatError,
@@ -18,8 +19,8 @@ from tupack.fileio import (
     write_instance,
     write_solution,
 )
-from tupack.generator import generate_instance
-from tupack.geometry import fitness
+from tupack.generator import Instance, generate_instance
+from tupack.geometry import BoxSpec, LoadedTu, Placement, Solution, TuType, fitness
 from tupack.lowerbound import DemandPoint
 from tupack.search import SearchParams, solve
 
@@ -159,6 +160,9 @@ _PARSERS = {
 }
 _BAD_TOKENS = ["", "x", "0", "-1", "2", "1.5", "nan", "inf", "-inf", "1e400",
                "99999999999999999999", "format", "box", "tutype", "#"]
+_SINGLE_VALUED = ("format", "name", "alpha", "beta", "theta", "instance", "fitness")
+# edits every parser must reject
+_MUST_RAISE = ["append token", "repeat header", "repeat single", "change version"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,8 +171,22 @@ def test_corrupted_file_raises_only_format_error(kind, data):
     lines = _VALID[kind].splitlines()
     i = data.draw(st.integers(0, len(lines) - 1))
     toks = lines[i].split()
-    edit = data.draw(st.sampled_from(["replace token", "drop token", "drop line", "repeat line"]))
-    if edit == "replace token":
+    edit = data.draw(st.sampled_from(["replace token", "drop token", "drop line", "repeat line",
+                                      *_MUST_RAISE]))
+    # a catalog file has no header and no single-valued record
+    assume(kind != "catalog" or edit not in _MUST_RAISE[1:])
+    if edit == "append token":
+        toks.append(data.draw(st.sampled_from(_BAD_TOKENS[1:-1])))  # not "" or "#"
+        lines[i] = " ".join(toks)
+    elif edit == "repeat header":
+        lines.insert(i + 1, lines[0])
+    elif edit == "repeat single":
+        single = data.draw(st.sampled_from(
+            [line for line in lines if line.split()[0] in _SINGLE_VALUED]))
+        lines.insert(i, single)
+    elif edit == "change version":
+        lines[0] = f"format {kind} {data.draw(st.sampled_from(_BAD_TOKENS[1:-1]))}"
+    elif edit == "replace token":
         j = data.draw(st.integers(0, len(toks) - 1))
         toks[j] = data.draw(st.sampled_from(_BAD_TOKENS) | st.text(max_size=6))
         lines[i] = " ".join(toks)
@@ -179,6 +197,10 @@ def test_corrupted_file_raises_only_format_error(kind, data):
         del lines[i]
     else:
         lines.insert(i, lines[i])
+    if edit in _MUST_RAISE:
+        with pytest.raises(FormatError):
+            _PARSERS[kind]("\n".join(lines) + "\n")
+        return
     try:
         _PARSERS[kind]("\n".join(lines) + "\n")
     except FormatError:
@@ -245,3 +267,62 @@ def test_solution_of_another_instance_or_none_is_reported_at_its_record(edit, ln
     with pytest.raises(OtherInstanceError, match=rf"^{where}(solution of instance 'other'"
                                                  r"|no 'instance' record)"):
         parse_solution("\n".join(lines) + "\n", _INST)
+
+
+_HAND = "format instance 1\nname x\ntutype t 120 80 130 1000\nbox b1 10 10 10 5 0 0 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_HAND.replace("0 0 1\n", "0 0 1 junk\n"), "line 4: 'box' takes 8 fields, got 9"),
+    (_HAND.replace("1000\n", "\n"), "line 3: 'tutype' takes 5 fields, got 4"),
+    (_HAND.replace("name x", "name my inst"), "line 2: 'name' takes 1 fields, got 2"),
+    (_HAND.replace("format instance 1", "format instance 2"),
+     "line 1: expected 'format instance 1', not 'format instance 2'"),
+    (_HAND.replace("format instance 1", "format instance"), "line 1: 'format' takes 2 fields"),
+    (_HAND + "name y\n", "line 5: second 'name' record"),
+    (_HAND + "format instance 1\n", "line 5: second 'format' record"),
+    (_HAND.replace("name x", "alpha 1\nalpha 2"), "line 3: second 'alpha' record"),
+    (_HAND + "wobble 1 2 3\n", "line 5: instance files hold no 'wobble' records"),
+], ids=["appended token", "dropped token", "two-token name", "version 2", "no version",
+        "second name", "second header", "second alpha", "unknown record"])
+def test_instance_record_of_the_wrong_shape_names_its_line(text, message):
+    """Each record holds its tag's field count, the header reads ``format
+    instance 1``, and a single-valued record appears once: before, an extra
+    token was ignored, any version was read, and the last ``name`` won."""
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("extra", ["fitness 1.0", "instance hx", "format solution 1"])
+def test_second_single_valued_solution_record_names_its_line(extra):
+    """A solution with two ``fitness`` lines was validated against the last."""
+    lines = _VALID["solution"].splitlines()
+    lines.insert(3, extra)
+    with pytest.raises(FormatError, match=rf"^line 4: second '{extra.split()[0]}' record"):
+        parse_solution("\n".join(lines) + "\n", _INST)
+
+
+def test_catalog_holds_only_tutype_records_of_five_fields():
+    with pytest.raises(FormatError, match="^line 2: catalog files hold no 'box' records"):
+        parse_catalog("tutype t 120 80 130 1000\nbox b1 10 10 10 5 0 0 1\n")
+    with pytest.raises(FormatError, match="^line 1: 'tutype' takes 5 fields, got 6"):
+        parse_catalog("tutype t 120 80 130 1000 9\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", "my inst"), ("name", ""), ("name", "a#1"), ("type_id", "A B"),
+    ("type_id", ""), ("box_id", "a#1"), ("box_id", "b\t1"), ("box_id", "b\n1"),
+])
+def test_writers_refuse_names_and_ids_their_readers_reject(field, value):
+    """``Instance("my inst", ...)`` read back as ``my``, and box id ``a#1``
+    made tupack's own file fail to parse."""
+    ids = {"name": "x", "type_id": "t", "box_id": "b1", field: value}
+    tut = TuType(ids["type_id"], 120, 80, 130, 1000)
+    box = BoxSpec(ids["box_id"], 10, 10, 10, 5)
+    inst = Instance(ids["name"], [box], [tut])
+    tu = LoadedTu(tut)
+    tu.add(Placement(box, "wlh", 10, 10, 10, 0, 0, 0))
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        dump_instance(inst)
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        dump_solution(Solution([tu]), inst.name, inst.objective)

@@ -36,7 +36,6 @@ from tupack.geometry import (
 from tupack.lowerbound import (
     DemandPoint,
     LowerBound,
-    _objective_liters,
     _scaled,
     solve_lower_bound,
 )
@@ -82,7 +81,7 @@ def brute_force_lower_bound(
 
     rec(0, 0, 0, 0)
     assert best is not None, "demand not coverable within max_total TUs"
-    return LowerBound(best[1], _objective_liters(best[1], vols, beta))
+    return LowerBound.of(best[1], catalog, beta)
 
 
 def assert_exact_tiling(tut, carved):
@@ -194,7 +193,7 @@ def reference_lower_bound(demand: DemandPoint, catalog: list[TuType], beta: floa
         counts[i] = 0
 
     dfs(0, 0, need_v, need_w)
-    return LowerBound(best[1], _objective_liters(best[1], vols, beta))
+    return LowerBound.of(best[1], catalog, beta)
 
 
 @pytest.mark.parametrize("beta", [0.0, 37.5, 100.0, 200.0])

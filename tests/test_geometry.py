@@ -15,8 +15,8 @@ from tupack.geometry import (
     Solution,
     TuType,
     boxes_overlap,
-    _extents,
     center_of_gravity,
+    extents,
     enumerate_orientations,
     fill_rate,
     fitness,
@@ -195,7 +195,7 @@ def test_validate_accepts_exactly_the_flag_legal_codes(dims, txz, tyz):
     box = BoxSpec("b", *dims, txz=txz, tyz=tyz)
     for code in ORIENTATION_CODES:
         tu = LoadedTu(T_120_80_130)
-        tu.add(Placement(box, code, *_extents(box, code), 0, 0, 0))
+        tu.add(Placement(box, code, *extents(box, code), 0, 0, 0))
         legal = {"w": txz, "l": tyz, "h": True}[code[2]]
         assert (validate_tu(tu) == []) is legal, code
 
