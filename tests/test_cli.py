@@ -375,7 +375,7 @@ def test_render_worked_example(tmp_path, worked_example_tu):
     assert "fill" in caption
 
 
-def test_render_escapes_the_tu_type_id(tmp_path):
+def test_render_escapes_the_tu_type_id():
     """A TU-type id is any token without ``#``, so ``A&B<1>`` is one; its
     caption made the SVG malformed XML."""
     from tupack.geometry import BoxSpec, LoadedTu, Placement, TuType

@@ -161,7 +161,8 @@ _PARSERS = {
 _BAD_TOKENS = ["", "x", "0", "-1", "2", "1.5", "nan", "inf", "-inf", "1e400",
                "99999999999999999999", "format", "box", "tutype", "#"]
 _SINGLE_VALUED = ("format", "name", "alpha", "beta", "theta", "instance", "fitness")
-# edits every parser must reject
+# edits every parser must reject; all but the first need the header and the
+# single-valued records that a catalog file lacks
 _MUST_RAISE = ["append token", "repeat header", "repeat single", "change version"]
 
 
@@ -173,7 +174,6 @@ def test_corrupted_file_raises_only_format_error(kind, data):
     toks = lines[i].split()
     edit = data.draw(st.sampled_from(["replace token", "drop token", "drop line", "repeat line",
                                       *_MUST_RAISE]))
-    # a catalog file has no header and no single-valued record
     assume(kind != "catalog" or edit not in _MUST_RAISE[1:])
     if edit == "append token":
         toks.append(data.draw(st.sampled_from(_BAD_TOKENS[1:-1])))  # not "" or "#"
