@@ -21,9 +21,13 @@ metric; and the Python and numpy versions and core count of the runs.
 For each end-to-end metric it adds both sides' medians and quartiles, the
 pairs the change won (ties count for neither, "better" as ``BENCHMARK.json``
 says), whether the change's median is worse than the parent's by more
-than the metric's bound, and ``gain_shown``: whether the change won at least
-nine tenths of the pairs and its median beats the parent's by more than the
-parent's interquartile range; for each per-layer metric, both sides' medians.
+than the metric's bound, ``unresolved``: whether the parent's interquartile
+range is wider than the bound times the parent's median while not every run
+of the change beats every run of the parent (such a metric cannot show "no
+regression" and reads unresolved, not unchanged), and ``gain_shown``:
+whether the change won at least nine tenths of the pairs and its median
+beats the parent's by more than the parent's interquartile range; for each
+per-layer metric, both sides' medians.
 Its ``checks`` say whether every run of both sides, traced or not, wrote
 the same solutions (one fingerprint) and how many runs of each side had a
 failed operation. ``src_lines`` gives each side's line count of every
@@ -142,8 +146,9 @@ def layer_summary(pairs: list[dict]) -> dict:
 
 
 def summarize(pairs: list[dict], spec: dict) -> dict:
-    """Per end-to-end metric: medians, quartiles, wins, the bound check and
-    whether a gain is shown."""
+    """Per end-to-end metric: medians, quartiles, wins, the bound check,
+    whether the parent's spread leaves it unresolved and whether a gain is
+    shown."""
     out = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
@@ -156,6 +161,7 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
         ps, cs = quartiles(par), quartiles(chg)
         base, iqr = ps["median"], ps["q3"] - ps["q1"]
         worse = (cs["median"] - base) if lower else (base - cs["median"])
+        dominates = max(chg) < min(par) if lower else min(chg) > max(par)
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": ps, "change": cs,
@@ -163,6 +169,7 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
             "change_vs_parent_pct": 100.0 * (cs["median"] - base) / base if base else None,
             "wins": wins, "losses": losses, "ties": len(par) - wins - losses,
             "worse_beyond_bound": bool(base and worse / abs(base) > m["bound"]),
+            "unresolved": iqr > m["bound"] * abs(base) and not dominates,
             "gain_shown": 10 * wins >= 9 * len(par) and -worse > iqr,
         }
     return out

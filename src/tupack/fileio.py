@@ -3,11 +3,13 @@
 Every format is whitespace-separated token lines, human-diffable, with
 ``#`` comments and blank lines ignored. All lengths are integer centimeters
 and weights integer kilograms. Each record holds exactly the fields shown
-(their count in brackets), the header reads ``format KIND 1``, and only
-``tutype``, ``lb``, ``box`` and ``placement`` records may repeat. Names and
-ids are single tokens without ``#``: the writers raise ``ValueError`` on
-others. The parsers raise ``FormatError`` naming the line on any other
-record, malformed counts and weights that are not finite numbers >= 0.
+(their count in brackets), the first record is the header ``format KIND 1``,
+and only ``tutype``, ``lb``, ``box`` and ``placement`` records may repeat.
+A placement's ``TU_INDEX`` names a TU listed before or the next one: TUs
+count up from 0 in the order they first appear. Names and ids are single
+tokens without ``#``: the writers raise ``ValueError`` on others. The
+parsers raise ``FormatError`` naming the line on any other record,
+malformed counts and weights that are not finite numbers >= 0.
 
 Instance file:
     format instance 1                       [2]
@@ -19,7 +21,7 @@ Instance file:
 
 Solution file:
     format solution 1                       [2]
-    instance NAME                           [1; before every other record]
+    instance NAME                           [1; right after the header]
     fitness FLOAT                           [1]
     placement TU_INDEX TUTYPE_ID BOX_ID ORIENTATION_CODE X Y Z   [7]
 
@@ -121,8 +123,9 @@ def _records(text: str, tags: dict[str, int], kind: str):
     and blank lines. A record whose tag is not in ``tags``, whose field
     count is not its tag's, or that repeats a single-valued record raises
     ``FormatError`` naming its line. When ``tags`` hold ``format``, the
-    ``format KIND 1`` header is checked and consumed, and required."""
-    left = dict(tags)  # a single-valued tag's count turns 0 once it is read
+    ``format KIND 1`` header must come first; it is checked and consumed."""
+    # a single-valued tag's count turns 0 once read; the header opens the other tags
+    left = {"format": tags["format"]} if "format" in tags else dict(tags)
     for ln, raw in enumerate(text.splitlines(), 1):
         toks = raw.split("#", 1)[0].split()
         if not toks:
@@ -134,13 +137,16 @@ def _records(text: str, tags: dict[str, int], kind: str):
                 raise FormatError(f"line {ln}: {kind} files hold no {tag!r} records")
             if want != len(toks):
                 raise FormatError(f"line {ln}: {tag!r} takes {want - 1} fields, got {len(toks) - 1}")
+            if tag not in left:
+                raise FormatError(f"line {ln}: {tag!r} record before the 'format {kind} 1' header")
             if not left[tag]:
                 raise FormatError(f"line {ln}: second {tag!r} record")
-            left[tag] = 0
             if tag == "format":
                 if toks[1:] != [kind, "1"]:
                     raise FormatError(f"line {ln}: expected 'format {kind} 1', not {' '.join(toks)!r}")
+                left = {**tags, "format": 0}
                 continue
+            left[tag] = 0
         yield ln, toks
     if left.get("format"):
         raise FormatError(f"missing 'format {kind} 1' header")
@@ -217,7 +223,7 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
     Returns (solution, instance name recorded in the file, recorded fitness);
     the fitness is NaN when the file has no ``fitness`` line, and a fitness
     that is not a finite number >= 0 is malformed. A file whose first record
-    does not name ``inst`` raises ``OtherInstanceError``.
+    after the header does not name ``inst`` raises ``OtherInstanceError``.
     Placement extents are re-derived from the box and orientation code, so a
     solution file cannot smuggle inconsistent geometry.
     """
@@ -225,7 +231,7 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
     boxes = {b.id: b for b in inst.boxes}
     inst_name = None
     recorded_fitness = float("nan")
-    tus: dict[int, LoadedTu] = {}
+    tus: list[LoadedTu] = []
     for ln, toks in _records(text, _SOLUTION, "solution"):
         tag = toks[0]
         with _at(ln):
@@ -248,19 +254,17 @@ def parse_solution(text: str, inst: Instance) -> tuple[Solution, str, float]:
                     raise FormatError(f"unknown box {box_id!r}")
                 if code not in ORIENTATION_CODES:
                     raise FormatError(f"unknown orientation code {code!r}")
-                tu = tus.get(ti)
-                if tu is None:
-                    tu = tus[ti] = LoadedTu(types[type_id])
-                elif tu.tu_type.id != type_id:
+                if ti == len(tus):
+                    tus.append(LoadedTu(types[type_id]))
+                elif not 0 <= ti < len(tus):
+                    raise FormatError(f"TU index {ti}: expected a listed TU or the next, {len(tus)}")
+                elif tus[ti].tu_type.id != type_id:
                     raise FormatError(f"TU {ti} listed with two types")
                 box = boxes[box_id]
-                tu.add(Placement(box, code, *extents(box, code), x, y, z))
+                tus[ti].add(Placement(box, code, *extents(box, code), x, y, z))
     if inst_name is None:
         raise OtherInstanceError("no 'instance' record")
-    placed = {p.box.id for tu in tus.values() for p in tu.placements}
-    unplaced = [b.id for b in inst.boxes if b.id not in placed]
-    sol = Solution([tus[i] for i in sorted(tus)], unplaced)
-    return sol, inst_name, recorded_fitness
+    return Solution(tus), inst_name, recorded_fitness
 
 
 def parse_catalog(text: str) -> list[TuType]:

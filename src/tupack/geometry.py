@@ -249,9 +249,6 @@ class LoadedTu:
         self.total_weight -= p.box.weight
         return p
 
-    def boxes_volume(self) -> int:
-        return sum(p.box.volume for p in self.placements)
-
     def height(self) -> int:
         """Top of the highest placed box, 0 when empty."""
         return max((p.top for p in self.placements), default=0)
@@ -382,13 +379,12 @@ def tu_objective_term(tu: LoadedTu, params: ObjectiveParams) -> float:
 
 @dataclass
 class Solution:
-    """A consolidation: the loaded TUs plus any boxes that could not be placed."""
+    """A consolidation: the loaded TUs."""
 
     tus: list[LoadedTu] = field(default_factory=list)
-    unplaced: list[str] = field(default_factory=list)
 
     def clone(self) -> "Solution":
-        return Solution([tu.clone() for tu in self.tus], list(self.unplaced))
+        return Solution([tu.clone() for tu in self.tus])
 
     def total_volume_liters(self) -> float:
         return sum(tu.tu_type.volume_liters for tu in self.tus)
@@ -418,7 +414,7 @@ def fill_rate(tu: LoadedTu) -> float:
     """Placed-box volume as a percentage of the TU maximum volume."""
     if not tu.placements:
         return 0.0
-    return 100.0 * tu.boxes_volume() / tu.tu_type.volume_cm3
+    return 100.0 * sum(p.box.volume for p in tu.placements) / tu.tu_type.volume_cm3
 
 
 # Air freight converts every cubic meter into 167 kg of taxable weight.

@@ -110,8 +110,6 @@ def solve_lower_bound(
         raise ValueError(f"demand needs more than {MAX_COVER_TUS} TUs of any catalog type")
     n = len(catalog)
     vols, caps, need_v, need_w = _scaled(demand, catalog)
-    if need_v == 0 and need_w == 0:
-        return LowerBound((0,) * n, 0.0)
 
     # fixed charge per TU in milli-liters, the unit of the search's costs
     per_tu = beta * 1000.0

@@ -468,15 +468,15 @@ def best_spot(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST, *,
     if ep_part is not None:
         ep_part = ep_part[:, None]
     cost = np.where(room, _price(cols, ocols, tu.nbox, cp, ep_part, box_part), np.inf).ravel()
-    rank = _fitting(tu, eps, ext, np.argsort(cost, kind="stable")[:n], box.stackable)
-    if not len(rank):
+    at = _fitting(tu, eps, ext, np.argsort(cost, kind="stable")[:n], box.stackable)
+    if at is None:
         return None
-    ep_idx, oi = divmod(int(rank[0]), len(ext))
-    return float(cost[rank[0]]), ep_idx, oris[oi]
+    ep_idx, oi = divmod(at, len(ext))
+    return float(cost[at]), ep_idx, oris[oi]
 
 
 def _fitting(tu: PackedTu, eps: np.ndarray, ext: np.ndarray, rank: np.ndarray, stackable: bool):
-    """``rank`` from its first candidate that fits on (empty when none does).
+    """The first candidate in ``rank`` that fits, or None when none does.
 
     Candidates are flat indices into the EP-major grid; they are tested in
     growing blocks, so an early hit costs one small test.
@@ -487,9 +487,9 @@ def _fitting(tu: PackedTu, eps: np.ndarray, ext: np.ndarray, rank: np.ndarray, s
         ep_idx, oi = np.divmod(block, len(ext))
         fits = _fits(tu, eps[ep_idx, :3], ext[oi], stackable)
         if fits.any():
-            return rank[start + int(fits.argmax()):]
+            return int(block[fits.argmax()])
         start, size = start + size, size * 4
-    return rank[:0]
+    return None
 
 
 def place_box(tu: PackedTu, box: BoxSpec, ob: Orientation, ep) -> Placement:

@@ -264,8 +264,6 @@ def move_n1(sol: Solution, run: Run, incumbent_fitness: float) -> Solution | Non
                 continue
             origin, dest = pair
             pool = _top_layer(sol.tus[origin])[:3]
-            if not pool:
-                continue
             move = (origin, dest, pool[run.rng.randrange(len(pool))])
             if move in tried:
                 continue
@@ -286,8 +284,6 @@ def move_n2(sol: Solution, run: Run, incumbent_fitness: float) -> Solution | Non
         j = _other(n, i, rng)
         top_i = _top_layer(sol.tus[i])
         top_j = _top_layer(sol.tus[j])
-        if not top_i or not top_j:
-            continue
         pick_i = top_i[rng.randrange(len(top_i))]
         pick_j = top_j[rng.randrange(len(top_j))]
         cand = try_swap(sol, i, pick_i, j, pick_j, run.cost)

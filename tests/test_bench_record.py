@@ -90,6 +90,26 @@ def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(better
     assert out["gain_shown"] is shown
 
 
+_WIDE = [1.0, 1.2, 1.4, 1.6, 1.8]   # median 1.4, IQR 0.4 > 0.25 x 1.4
+
+
+@pytest.mark.parametrize("better, parent, change, unresolved", [
+    # the parent's own runs spread wider than the bound: no verdict
+    ("lower", _WIDE, _WIDE, True),
+    # a spread inside the bound resolves, even against a worse change
+    ("lower", [1.0, 1.01, 1.02, 1.03, 1.04], [1.5] * 5, False),
+    # every run of the change beats every run of the parent
+    ("lower", _WIDE, [0.5, 0.6, 0.7, 0.8, 0.9], False),
+    # the same runs lose every pair when higher is better
+    ("higher", _WIDE, [0.5, 0.6, 0.7, 0.8, 0.9], True),
+    ("higher", _WIDE, [1.9, 2.0, 2.1, 2.2, 2.3], False),
+])
+def test_unresolved_when_the_parent_spreads_past_the_bound_and_the_change_does_not_dominate(
+        better, parent, change, unresolved):
+    out = bench_record.summarize(_pairs(*zip(parent, change)), _spec_of(better))["m"]
+    assert out["unresolved"] is unresolved
+
+
 def _runs(*sides):
     """One pair per ((parent fingerprint, failed), (change fingerprint, failed))."""
     return [{side: {"fingerprint": fp, "failed": failed}

@@ -516,7 +516,14 @@ def test_solve_rejects_duplicate_box_ids(workspace, tmp_path, capsys):
     ("solve", r"^(name .*)$", r"\1\nname other", 1),
     ("validate", r"^(fitness .*)$", r"\1\n\1", 1),
     ("compare", r"^format solution 1$", "format solution 1\nformat solution 1", 1),
-], ids=["appended token", "version 2", "second name", "second fitness", "second header"])
+    ("solve", r"^format instance 1\n(name .*)$", r"\1\nformat instance 1", 0),
+    ("validate", r"^format solution 1\n(instance .*)$", r"\1\nformat solution 1", 0),
+    ("validate", r"^placement 0 ", "placement -1 ", 0),
+    ("validate", r"^placement 0 (?=.*\n\Z)", "placement 2 ", 0),
+    ("validate", r"^placement 0 ", "placement 1 ", 0),
+], ids=["appended token", "version 2", "second name", "second fitness", "second header",
+        "instance header not first", "solution header not first", "negative TU index",
+        "TU index that skips a TU", "TU 1 before TU 0"])
 def test_record_of_the_wrong_shape_exits_2_naming_file_and_line(workspace, tmp_path, capsys,
                                                                 command, pattern, repl, after):
     """Each strict-record check is one ``error: PATH: line N: ...`` line,
@@ -594,13 +601,12 @@ def _solve_with(*flags):
     return argv
 
 
-def _validate_with_fitness(value, command="validate"):
+def _edited_solution(pattern, repl, command="validate"):
     """``validate`` (or ``render`` or ``compare``, after the reference) on a
-    copy of a reference solution with its fitness line edited."""
+    copy of a reference solution with one record edited."""
     def argv(workspace, tmp_path):
         ref = workspace / "inst" / "gen001_s3.ref.txt"
-        text, n = re.subn(r"^fitness .*$", f"fitness {value}", ref.read_text(), count=1,
-                          flags=re.M)
+        text, n = re.subn(pattern, repl, ref.read_text(), count=1, flags=re.M)
         assert n == 1
         bad = tmp_path / "bad.sol.txt"
         bad.write_text(text)
@@ -608,6 +614,10 @@ def _validate_with_fitness(value, command="validate"):
                  "compare": [ref, bad]}[command]
         return [command, workspace / "inst" / "gen001_s3.inst.txt", *files]
     return argv
+
+
+def _validate_with_fitness(value, command="validate"):
+    return _edited_solution(r"^fitness .*$", f"fitness {value}", command)
 
 
 def _batch_on_empty_dir(workspace, tmp_path):
@@ -666,6 +676,11 @@ _MALFORMED = {
     "negative solution fitness": _validate_with_fitness("-1"),
     "NaN solution fitness in render": _validate_with_fitness("nan", "render"),
     "NaN solution fitness in compare": _validate_with_fitness("nan", "compare"),
+    "negative TU index": _edited_solution(r"^placement 0 ", "placement -1 "),
+    "TU index that skips a TU": _edited_solution(r"^placement 0 (?=.*\n\Z)", "placement 2 "),
+    "TU 1 before TU 0": _edited_solution(r"^placement 0 ", "placement 1 "),
+    "solution header not first": _edited_solution(r"^format solution 1\n(instance .*)$",
+                                                  r"\1\nformat solution 1"),
     "batch without instances": _batch_on_empty_dir,
     "batch repeated omega": lambda workspace, tmp_path: [
         "batch", "--instances", workspace / "inst", "--out", tmp_path / "r", "--omegas",

@@ -19,7 +19,7 @@ from tupack.fileio import (
     write_instance,
     write_solution,
 )
-from tupack.generator import Instance, generate_instance
+from tupack.generator import Instance, generate_instance, validate_solution
 from tupack.geometry import BoxSpec, LoadedTu, Placement, Solution, TuType, fitness
 from tupack.lowerbound import DemandPoint
 from tupack.search import SearchParams, solve
@@ -58,7 +58,6 @@ def test_solution_round_trip(inst_and_ref):
         assert [(p.box.id, p.code, p.x, p.y, p.z) for p in a.placements] == [
             (p.box.id, p.code, p.x, p.y, p.z) for p in b.placements
         ]
-    assert sol.unplaced == []
     assert dump_solution(sol, name, inst.objective) == text
 
 
@@ -122,11 +121,11 @@ def test_comments_and_blanks_ignored(inst_and_ref):
 def test_unplaced_boxes_reported(inst_and_ref):
     inst, ref = inst_and_ref
     text = dump_solution(ref, inst.name, inst.objective)
-    # drop the last placement line: that box becomes unplaced
+    # drop the last placement line: the validator reports that box unplaced
     lines = text.strip().splitlines()
     dropped = lines[-1].split()[3]
     sol, _, _ = parse_solution("\n".join(lines[:-1]) + "\n", inst)
-    assert sol.unplaced == [dropped]
+    assert validate_solution(inst, sol) == [f"box {dropped} not placed"]
 
 
 def test_parse_rejects_duplicate_box_id():
@@ -161,9 +160,14 @@ _PARSERS = {
 _BAD_TOKENS = ["", "x", "0", "-1", "2", "1.5", "nan", "inf", "-inf", "1e400",
                "99999999999999999999", "format", "box", "tutype", "#"]
 _SINGLE_VALUED = ("format", "name", "alpha", "beta", "theta", "instance", "fitness")
-# edits every parser must reject; all but the first need the header and the
-# single-valued records that a catalog file lacks
-_MUST_RAISE = ["append token", "repeat header", "repeat single", "change version"]
+# edits every parser must reject, naming a line; all but the first need the
+# header and the single-valued records that a catalog file lacks, and the TU
+# index edits need a solution file
+_TU_EDITS = {"negative TU": st.integers(max_value=-1),
+             "TU past the next": st.integers(min_value=len(_REF.tus) + 1),
+             "TU 1 first": st.just(1)}
+_MUST_RAISE = ["append token", "repeat header", "repeat single", "change version",
+               "move header", *_TU_EDITS]
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,6 +179,7 @@ def test_corrupted_file_raises_only_format_error(kind, data):
     edit = data.draw(st.sampled_from(["replace token", "drop token", "drop line", "repeat line",
                                       *_MUST_RAISE]))
     assume(kind != "catalog" or edit not in _MUST_RAISE[1:])
+    assume(kind == "solution" or edit not in _TU_EDITS)
     if edit == "append token":
         toks.append(data.draw(st.sampled_from(_BAD_TOKENS[1:-1])))  # not "" or "#"
         lines[i] = " ".join(toks)
@@ -186,6 +191,14 @@ def test_corrupted_file_raises_only_format_error(kind, data):
         lines.insert(i, single)
     elif edit == "change version":
         lines[0] = f"format {kind} {data.draw(st.sampled_from(_BAD_TOKENS[1:-1]))}"
+    elif edit == "move header":
+        lines.insert(max(i, 1), lines.pop(0))
+    elif edit in _TU_EDITS:
+        at = [j for j, line in enumerate(lines) if line.startswith("placement ")]
+        j = at[0] if edit == "TU 1 first" else data.draw(st.sampled_from(at))
+        toks = lines[j].split()
+        toks[1] = str(data.draw(_TU_EDITS[edit]))
+        lines[j] = " ".join(toks)
     elif edit == "replace token":
         j = data.draw(st.integers(0, len(toks) - 1))
         toks[j] = data.draw(st.sampled_from(_BAD_TOKENS) | st.text(max_size=6))
@@ -198,7 +211,7 @@ def test_corrupted_file_raises_only_format_error(kind, data):
     else:
         lines.insert(i, lines[i])
     if edit in _MUST_RAISE:
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=r"^line \d+: "):
             _PARSERS[kind]("\n".join(lines) + "\n")
         return
     try:
@@ -283,8 +296,10 @@ _HAND = "format instance 1\nname x\ntutype t 120 80 130 1000\nbox b1 10 10 10 5 
     (_HAND + "format instance 1\n", "line 5: second 'format' record"),
     (_HAND.replace("name x", "alpha 1\nalpha 2"), "line 3: second 'alpha' record"),
     (_HAND + "wobble 1 2 3\n", "line 5: instance files hold no 'wobble' records"),
+    (_HAND.replace("format instance 1\nname x", "name x\nformat instance 1"),
+     "line 1: 'name' record before the 'format instance 1' header"),
 ], ids=["appended token", "dropped token", "two-token name", "version 2", "no version",
-        "second name", "second header", "second alpha", "unknown record"])
+        "second name", "second header", "second alpha", "unknown record", "header not first"])
 def test_instance_record_of_the_wrong_shape_names_its_line(text, message):
     """Each record holds its tag's field count, the header reads ``format
     instance 1``, and a single-valued record appears once: before, an extra

@@ -233,7 +233,11 @@ def test_top_layer_matches_pairwise_definition():
             clear = [i for i, p in enumerate(ps)
                      if not any(j != i and xy_overlap(p, q) and q.top > p.top
                                 for j, q in enumerate(ps))]
-            assert _top_layer(tu) == sorted(clear, key=lambda i: (-ps[i].top, i))
+            top = _top_layer(tu)
+            assert top == sorted(clear, key=lambda i: (-ps[i].top, i))
+            # a non-empty TU's top layer holds its highest box, so the moves
+            # that draw from it never meet an empty one
+            assert ps and top and ps[top[0]].top == tu.height()
 
 
 # ---------------------------------------------------------------------------
