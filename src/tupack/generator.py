@@ -128,7 +128,7 @@ def _cut(rng: random.Random, lb: int, ub: int, left: int) -> int:
     return rng.randint(lb, min(ub, left))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CarvedBox:
     """A box cut out of a TU, remembered with its carving position."""
 
@@ -311,7 +311,8 @@ def generate_instance(
     use (a non-finite or negative density or beta, a density that overflows
     a box weight, a beta that overflows every covering's objective, bounds
     larger than a covering type, bounds for scheme 3, a type without a
-    perfect partition) raises ``ValueError``.
+    perfect partition, a density that makes a carved TU heavier than its
+    type's capacity) raises ``ValueError``.
     """
     if scheme not in (1, 2, 3):
         raise ValueError("scheme must be 1, 2 or 3")
@@ -343,6 +344,10 @@ def generate_instance(
                 )
                 boxes.append(box)
                 tu.add(Placement(box, "wlh", cb.w, cb.l, cb.h, cb.x, cb.y, cb.z))
+            if tu.total_weight > tut.q:
+                # the density ignores capacities, so a carved TU can be overweight
+                raise ValueError(f"a carved TU of type {tut.id} weighs {tu.total_weight} kg, "
+                                 f"above its capacity {tut.q} kg; lower the density")
             tus.append(tu)
     inst = Instance(
         name, boxes, catalog,

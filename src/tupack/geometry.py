@@ -48,7 +48,7 @@ class BoxUnpackableError(ValueError):
 ORIENTATION_CODES = ("wlh", "lwh", "whl", "hwl", "lhw", "hlw")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxSpec:
     """A package to consolidate.
 
@@ -84,7 +84,7 @@ class BoxSpec:
         return (self.width, self.length, self.height, self.txz, self.tyz, self.stackable)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Orientation:
     """One axis assignment of a box: extents along X, Y, Z."""
 
@@ -150,7 +150,7 @@ class TuType:
         return self.volume_cm3 / 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """A box fixed in a TU: resolved orientation extents plus the anchor corner."""
 

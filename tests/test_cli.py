@@ -659,6 +659,9 @@ _MALFORMED = {
         "generate", "--scheme", "3", "--demand", "1,100", "--bounds", "30,60",
         "--out", tmp_path / "gen"],
     "nothing to generate": _generate(),
+    "carved TU above its capacity": lambda workspace, tmp_path: [
+        "generate", "--scheme", "3", "--demand", "3,500", "--density", "700",
+        "--out", tmp_path / "gen"],
     "NaN cost-theta": _solve_with("--cost-theta", "nan"),
     "NaN cost-lambda": _solve_with("--cost-lambda", "nan"),
     "infinite cost-n": _solve_with("--cost-n", "inf"),

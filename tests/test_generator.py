@@ -540,6 +540,14 @@ def test_generate_same_density_weights():
         assert b.weight == int(107.0 * b.volume / 1e6 + 0.5)
 
 
+def test_generate_refuses_an_overweight_carved_tu():
+    """A density that ignores capacities can carve a TU heavier than its
+    type allows; the generator refuses rather than write a reference its
+    own validator rejects."""
+    with pytest.raises(ValueError, match="120x80x160 weighs 1088 kg, above its capacity 1000 kg"):
+        generate_instance(DemandPoint(3, 500), scheme=3, density=700)
+
+
 def test_builtin_demand_table_size():
     assert len(BUILTIN_DEMANDS) == 100
 

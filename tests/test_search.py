@@ -141,6 +141,31 @@ def test_box_unpackable_error_survives_pickling():
     assert str(err) == "box 'big1' fits no available transport unit type"
 
 
+def test_per_box_records_are_slotted_and_survive_pickling():
+    """The records kept once per box, placement or orientation carry no
+    per-object ``__dict__``, and a generated instance and its reference
+    still cross a process pool (``batch --jobs N``) unchanged."""
+    import pickle
+
+    from tupack.generator import CarvedBox
+    from tupack.geometry import Orientation
+
+    box = BoxSpec("b", 30, 20, 10, 4)
+    orientation = Orientation("wlh", 30, 20, 10)
+    for record in (box, orientation, Placement.of(box, orientation, 0, 0, 0),
+                   CarvedBox(30, 20, 10, 0, 0, 0)):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+    inst, ref = generate_instance(DemandPoint(1.5, 400), 2, name="p", seed=4)
+    inst2, ref2 = pickle.loads(pickle.dumps((inst, ref)))
+    assert inst2 == inst
+    assert [hash(b) for b in inst2.boxes] == [hash(b) for b in inst.boxes]
+    assert [(tu.tu_type, tu.placements) for tu in ref2.tus] == \
+        [(tu.tu_type, tu.placements) for tu in ref.tus]
+    assert [hash(p) for tu in ref2.tus for p in tu.placements] == \
+        [hash(p) for tu in ref.tus for p in tu.placements]
+
+
 # ---------------------------------------------------------------------------
 # N1 relocation
 
