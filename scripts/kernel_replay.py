@@ -12,7 +12,9 @@ are loaded into this one process under distinct package names, which works
 because every import inside the package is relative. One pass of a perfbench
 workload then runs on the change's package, and every ``--every``-th call of
 ``update_eps``, ``best_spot`` and ``eps_of_layout`` has its inputs captured:
-the TU's type, placements and EP array, and the other arguments.
+the TU's type, placements and EP array, and the other arguments. A TU that
+derives its EPs on first read is captured as it stands, with no array
+when they are stale, so capturing never derives them.
 
 Each kernel is then replayed on the same states on both sides: in each of
 ``--repeats`` rounds every state runs once per side, the two calls back to
@@ -60,11 +62,19 @@ def load_package(pkg_dir: Path, name: str):
 
 
 class TuState(NamedTuple):
-    """A packer TU as a kernel saw it: type, placements and EP array."""
+    """A packer TU as a kernel saw it: type, placements and EP array, None
+    when the EPs were stale."""
 
     tu_type: object
     placements: tuple
-    eps: np.ndarray
+    eps: np.ndarray | None
+
+
+def _stored_eps(tu):
+    """The TU's EP array as stored, without deriving it: None when stale.
+    A ``PackedTu`` that derives on read keeps the array in ``_eps``; an
+    older one holds ``eps`` itself."""
+    return tu._eps if hasattr(type(tu), "_eps") else tu.eps
 
 
 class Call(NamedTuple):
@@ -91,7 +101,7 @@ def capture(pkg, run, every: int) -> list[Call]:
 
         def wrapper(tu, *args, _kernel=kernel, _original=original, _seen=seen, **kwargs):
             if _seen[0] % every == 0:
-                state = TuState(tu.tu_type, tuple(tu.placements), tu.eps)
+                state = TuState(tu.tu_type, tuple(tu.placements), _stored_eps(tu))
                 calls.append(Call(_kernel, state, args, kwargs))
             _seen[0] += 1
             return _original(tu, *args, **kwargs)
@@ -151,13 +161,17 @@ def _bound(pkg, calls: list[Call]):
 
     Every thunk gets its own TU, rebuilt from the placements with the
     captured EP array; ``update_eps``' thunk restores that array first,
-    because the call replaces it."""
+    because the call replaces it. A TU captured stale keeps the EPs its
+    rebuild gives it: stale where ``eps`` derives on read, derived from the
+    layout where ``PackedTu`` derives on construction."""
     convert, thunks = _Converter(pkg), []
     for call in calls:
         kernel = getattr(pkg.packer, call.kernel)
         takes = inspect.signature(kernel).parameters
         tu = pkg.packer.PackedTu(convert(call.tu.tu_type), convert(call.tu.placements))
-        tu.eps = eps = call.tu.eps
+        eps = call.tu.eps
+        if eps is not None:
+            tu.eps = eps
         args = convert(call.args)
         kwargs = {k: convert(v) for k, v in call.kwargs.items() if k in takes}
         if call.kernel == "update_eps":

@@ -130,6 +130,11 @@ def sort_boxes(boxes: list[BoxSpec], tut: TuType, sp: SortParams = DEFAULT_SORT)
 # Every change builds new arrays, because ``PackedTu.clone`` shares them. All
 # spans are half-open, so faces that merely touch neither cover nor block.
 
+# Reductions are called on their ufuncs directly: ndarray.all, .any, .min
+# and .max add a Python-level wrapper call to every kernel step.
+_all, _any = np.logical_and.reduce, np.logical_or.reduce
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -144,8 +149,8 @@ def _ray(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, axes: np.ndarray, own: n
     # a box is hit when it ends at or before the point on the ray's axis and
     # its spans on the two other axes cover the point (hi <= p gives lo <= p)
     short = (p < hi[:, None]) != own
-    hit = ((lo[:, None] <= p) & short).all(axis=0)
-    return hi[axes].max(axis=1, where=hit, initial=0)
+    hit = _all((lo[:, None] <= p) & short, axis=0)
+    return np.maximum.reduce(hi[axes], axis=1, where=hit, initial=0)
 
 
 _AXES = np.arange(3)[:, None]
@@ -162,12 +167,12 @@ def _measure(lo, hi, pts: np.ndarray, dims: np.ndarray):
     start = lo <= p
     inside = start & (p < hi[:, None])
     others = inside.take(_OTHER_1, axis=0) & inside.take(_OTHER_2, axis=0)
-    covered = (inside[0] & others[0]).any(axis=1)
+    covered = _any(inside[0] & others[0], axis=1)
     # a box blocks the ray on an axis when its spans on the two other axes
     # cover the point and it starts beyond the point there, others > start
     # (one that starts at the point covers it, and a covered point's
     # residuals are moot)
-    reach = np.where(others > start, lo, dims[:, None, None]).min(axis=2)
+    reach = np.minimum.reduce(np.where(others > start, lo, dims[:, None, None]), axis=2)
     return covered, reach.T - pts
 
 
@@ -180,7 +185,7 @@ def _unseen(pts: np.ndarray, seeds: np.ndarray, frame: np.ndarray) -> np.ndarray
     seen = set((seeds @ scale).tolist())
     keep = []
     for i, (cell, inside) in enumerate(zip((pts @ scale).tolist(),
-                                           (pts < dims).all(axis=1).tolist())):
+                                           _all(pts < dims, axis=1).tolist())):
         if inside and cell not in seen:
             seen.add(cell)
             keep.append(i)
@@ -291,27 +296,43 @@ def _origin_eps(tut: TuType) -> np.ndarray:
 
 class PackedTu(LoadedTu):
     """A TU the packer loads, with the EP array and the layout of its load
-    (``layout`` and its ``corners``), which ``add`` (``update_eps``) and
-    ``remove_at`` (``eps_of_layout``) keep in step. All are read-only and
-    replaced, never edited, so clones share them, TUs of one layout in a
-    pack share them (``take``), and empty TUs share one empty layout.
-    ``PackedTu(tut, placements)`` derives its EPs from the layout."""
+    (``layout`` and its ``corners``). ``add`` (``update_eps``) keeps the EPs
+    in step with the layout; ``remove_at`` only marks them stale, and
+    ``eps`` derives a stale TU's array from the layout (``eps_of_layout``)
+    on its first read, so a removal whose EPs are never read costs no
+    derivation. All arrays are read-only and replaced, never edited, so
+    clones share them, TUs of one layout in a pack share them (``take``),
+    and empty TUs share one empty layout. ``PackedTu(tut, placements)``
+    starts stale when it has placements."""
 
-    __slots__ = ("eps", "layout", "corners")
+    __slots__ = ("_eps", "layout", "corners")
 
     def __init__(self, tu_type: TuType, placements=()):
         super().__init__(tu_type, placements)
         self.layout, self.corners = _layout(self.placements)
-        self.eps = eps_of_layout(self) if self.placements else _origin_eps(tu_type)
+        self._eps = None if self.placements else _origin_eps(tu_type)
+
+    @property
+    def eps(self) -> np.ndarray:
+        if self._eps is None:
+            self._eps = eps_of_layout(self)
+        return self._eps
+
+    @eps.setter
+    def eps(self, eps: np.ndarray):
+        self._eps = eps
 
     def clone(self) -> "PackedTu":
+        """A twin sharing every array; a stale TU derives its EPs first, so
+        the two never derive the same layout twice."""
         twin = PackedTu.__new__(PackedTu)
         twin.tu_type, twin.placements = self.tu_type, list(self.placements)
-        twin.total_weight, twin.eps = self.total_weight, self.eps
+        twin.total_weight, twin._eps = self.total_weight, self.eps
         twin.layout, twin.corners = self.layout, self.corners
         return twin
 
     def add(self, placement: Placement):
+        self.eps  # a stale TU derives its EPs from the layout before it grows
         super().add(placement)
         p = placement
         column = ((p.x,), (p.y,), (p.z,), (p.x + p.w,), (p.y + p.l,), (p.z + p.h,))
@@ -324,12 +345,13 @@ class PackedTu(LoadedTu):
         """``add`` the placement, taking the arrays ``add`` would build from
         the pack's node of this TU's layout plus the placement."""
         super().add(placement)
-        self.eps, self.layout, self.corners = node.eps, node.layout, node.corners
+        self._eps, self.layout, self.corners = node.eps, node.layout, node.corners
 
     def remove_at(self, index: int) -> Placement:
+        """Take out a placement; the EPs go stale until next read."""
         p = super().remove_at(index)
         self.layout, self.corners = _layout(self.placements)
-        self.eps = eps_of_layout(self)
+        self._eps = None
         return p
 
 
@@ -371,7 +393,7 @@ def _room(ep: np.ndarray, ext: np.ndarray):
     """The residual test: whether each extent fits within the EP's residual
     maxima. ``ep`` holds (x, y, z, rx, ry, rz) and ``ext`` (w, l, h) along
     their first axis, as arrays that broadcast."""
-    return (ext <= ep[3:]).all(axis=0)
+    return _all(ext <= ep[3:], axis=0)
 
 
 def _fits(tu: PackedTu, anchors: np.ndarray, ext: np.ndarray, stackable: bool) -> np.ndarray:
@@ -388,7 +410,7 @@ def _fits(tu: PackedTu, anchors: np.ndarray, ext: np.ndarray, stackable: bool) -
         bad = bad | (nonstack & (top[2] > hi[2]))
     if not stackable:
         bad = bad | (hi[2] > top[2])
-    return ~(apart[0] & apart[1] & bad).any(axis=1)
+    return ~_any(apart[0] & apart[1] & bad, axis=1)
 
 
 def _ep_part(ep, cp: CostParams):
@@ -449,11 +471,13 @@ def best_spot(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST, *,
 
     Every (EP, orientation) pair that passes the residual test is priced at
     once and ranked by (cost, EP index, orientation index): a stable sort of
-    the EP-major cost grid gives exactly that order. The ranked candidates
-    are then fit-tested in order, and the first that fits wins. Weight
-    capacity is respected. ``ep_part`` (per EP) and ``box_part`` (per
-    orientation) are the price parts when a caller has them already
-    (``_cheapest``, from the pack memo); otherwise ``_price`` computes them.
+    the EP-major cost grid gives exactly that order, and its rank 0 is the
+    grid's ``argmin``, the first least cost. That candidate is fit-tested
+    alone; only when it fails are the others sorted and fit-tested in rank
+    order (``_fitting``), and the first that fits wins. Weight capacity is
+    respected. ``ep_part`` (per EP) and ``box_part`` (per orientation) are
+    the price parts when a caller has them already (``_cheapest``, from the
+    pack memo); otherwise ``_price`` computes them.
     """
     eps = tu.eps
     if not len(eps) or tu.total_weight + box.weight > tu.tu_type.q:
@@ -468,18 +492,22 @@ def best_spot(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST, *,
     if ep_part is not None:
         ep_part = ep_part[:, None]
     cost = np.where(room, _price(cols, ocols, tu.nbox, cp, ep_part, box_part), np.inf).ravel()
-    at = _fitting(tu, eps, ext, np.argsort(cost, kind="stable")[:n], box.stackable)
-    if at is None:
-        return None
+    at = int(cost.argmin())
     ep_idx, oi = divmod(at, len(ext))
+    if not _fits(tu, eps[ep_idx:ep_idx + 1, :3], ext[oi:oi + 1], box.stackable)[0]:
+        at = _fitting(tu, eps, ext, np.argsort(cost, kind="stable")[1:n], box.stackable)
+        if at is None:
+            return None
+        ep_idx, oi = divmod(at, len(ext))
     return float(cost[at]), ep_idx, oris[oi]
 
 
 def _fitting(tu: PackedTu, eps: np.ndarray, ext: np.ndarray, rank: np.ndarray, stackable: bool):
     """The first candidate in ``rank`` that fits, or None when none does.
 
-    Candidates are flat indices into the EP-major grid; they are tested in
-    growing blocks, so an early hit costs one small test.
+    Candidates are flat indices into the EP-major grid, in rank order from
+    ``best_spot``'s rank 1 on (rank 0 is tested before the sort); they are
+    tested in growing blocks, so an early hit costs one small test.
     """
     start, size = 0, 4
     while start < len(rank):
@@ -501,8 +529,10 @@ def place_box(tu: PackedTu, box: BoxSpec, ob: Orientation, ep) -> Placement:
 
 
 def place_best(tu: PackedTu, box: BoxSpec, cp: CostParams = DEFAULT_COST) -> Placement | None:
-    """Place the box at its ``best_spot`` in the TU; None, with the TU
-    untouched, when it fits nowhere. The twin of ``PackedTu.remove_at``."""
+    """Place the box at its ``best_spot`` in the TU; None, with the TU's
+    load untouched, when it fits nowhere. The twin of ``PackedTu.remove_at``:
+    its ``best_spot`` reads the EPs, so it derives them when a removal left
+    them stale."""
     spot = best_spot(tu, box, cp)
     if spot is None:
         return None
@@ -611,10 +641,10 @@ def _floor(node: _Node, low: np.ndarray, box_part: float, cp: CostParams):
     passes ``_room``. Fills in the node's EP parts."""
     if node.ep_part is None:
         node.ep_part = _ep_part(node.eps.T, cp)
-    parts = node.ep_part[(node.eps[:, 3:] >= low).all(axis=1)]
+    parts = node.ep_part[_all(node.eps[:, 3:] >= low, axis=1)]
     if not len(parts):
         return None
-    return float(parts.min()) + box_part - node.layout.shape[1]
+    return float(np.minimum.reduce(parts)) + box_part - node.layout.shape[1]
 
 
 def pack_3dbp(

@@ -193,9 +193,9 @@ def _relocate(
 ) -> Solution | None:
     """Move one top-layer box between TUs; None when it cannot land.
 
-    The box lands before the origin is re-seeded: the two are different TUs,
-    so the order changes nothing, and a box that cannot land costs no
-    re-seed."""
+    The box lands before it leaves the origin: the two are different TUs,
+    so the order changes nothing, and a box that cannot land is never taken
+    out. The origin's EPs go stale and are derived only when read."""
     cand = sol.clone()
     src, dst = cand.tus[origin], cand.tus[dest]
     if place_best(dst, src.placements[pick].box, cost) is None:

@@ -53,7 +53,9 @@ def copies(tmp_path):
 
 def _exercise(pkg):
     """Packs that open several TUs (so ``_cheapest`` hands ``best_spot`` the
-    memo's parts), then boxes taken out (``eps_of_layout``)."""
+    memo's parts), then boxes taken out two at a time and one landed back
+    with ``place_best``, whose read of the stale EPs runs
+    ``eps_of_layout``."""
     geometry, packer = pkg.geometry, pkg.packer
     tut = geometry.TuType("t", 90, 70, 80, 600)
     rng = random.Random(3)
@@ -61,8 +63,10 @@ def _exercise(pkg):
                               rng.randint(10, 50), rng.randint(0, 100), rng.random() < 0.5,
                               rng.random() < 0.5, rng.random() < 0.8) for i in range(30)]
     for tu in packer.pack_3dbp(tut, boxes).tus:
-        while tu.nbox > 1:
+        while tu.nbox > 2:
+            box = tu.remove_at(rng.randrange(tu.nbox)).box
             tu.remove_at(rng.randrange(tu.nbox))
+            packer.place_best(tu, box)
 
 
 def test_a_checkout_replayed_against_itself_is_identical(copies):
@@ -74,6 +78,8 @@ def test_a_checkout_replayed_against_itself_is_identical(copies):
         assert entry["calls"] > 0 and entry["identical"], kernel
         assert entry["parent_us"] > 0 and entry["change_us"] > 0
     assert any(c.kwargs.get("ep_part") is not None for c in calls if c.kernel == "best_spot")
+    # best_spot also ran on TUs whose EPs were stale, replayed as stale
+    assert any(c.tu.eps is None for c in calls if c.kernel == "best_spot")
 
 
 def test_an_update_eps_that_drops_an_ep_is_reported_different(copies):

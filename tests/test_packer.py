@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -679,6 +680,71 @@ def test_remove_at_reseeds_from_the_layout():
                 assert not tu.eps.flags.writeable
 
 
+def _layout_points(tu):
+    """The points ``eps_of_layout`` measures: the origin, then every box's
+    projection points."""
+    return [(0, 0, 0)] + [q for p in tu.placements for q in _ref_candidates(tu, p)]
+
+
+_lazy_op = st.one_of(st.tuples(st.just("remove"), st.integers(0, 63)),
+                     st.tuples(st.just("place"), _small_box, st.booleans()),
+                     st.tuples(st.just("clone")))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16),
+       ops=st.lists(st.tuples(st.integers(0, 15), _lazy_op), min_size=5, max_size=30))
+def test_stale_eps_are_derived_once_on_read(seed, ops):
+    """Random packs rebuilt from their placements (stale), then random
+    ``remove_at`` (stale again), placing and ``clone`` steps: every TU's EPs
+    equal the pure-Python re-measure of its history, from its layout's
+    points since its last re-seed on; a stale TU's clone shares its derived
+    array; and ``eps_of_layout`` runs once per stale state read, never for
+    a state left unread or read twice. A box lands by ``place_best`` or
+    flush on the first reference EP that holds it, found without reading
+    the TU's EPs, so that ``add`` meets them stale."""
+    tus = [PackedTu(tu.tu_type, tu.placements)
+           for tu in pack_3dbp(T_SMALL, _random_boxes(random.Random(seed), 20)).tus]
+    points = [None] * len(tus)  # per TU its EP points, None while stale
+    derivations = 0
+    with mock.patch.object(packer, "eps_of_layout", wraps=eps_of_layout) as derive:
+        for step, (pick, (op, *arg)) in enumerate(ops):
+            i = pick % len(tus)
+            tu, stale = tus[i], points[i] is None
+            if op == "remove":
+                if tu.nbox:
+                    tu.remove_at(arg[0] % tu.nbox)
+                    points[i] = None
+                continue
+            ref = _ref_eps(tu, _layout_points(tu) if stale else points[i])
+            before = [e[:3] for e in ref]
+            if op == "clone":
+                derivations += stale
+                twin = tu.clone()
+                assert twin.eps is tu.eps
+                tus.append(twin)
+                points[i] = before
+                points.append(list(before))
+                continue
+            (w, l, h, txz, tyz, stackable), best = arg
+            box = BoxSpec(f"s{step}", w, l, h, 0, txz, tyz, stackable)
+            if best:
+                placed = place_best(tu, box)
+            else:
+                spot = next(((e, o) for e in ref for o in enumerate_orientations(box)
+                             if can_fit(tu, e, o, box)), None)
+                placed = spot and place_box(tu, box, spot[1], spot[0])
+            if best or placed:
+                derivations += stale
+                points[i] = before if placed is None else before + _ref_candidates(tu, placed)
+        assert derive.call_count == derivations
+        derivations += sum(pts is None for pts in points)
+        for tu, pts in zip(tus, points):
+            assert ep_list(tu.eps) == _ref_eps(tu, _layout_points(tu) if pts is None else pts)
+            assert not tu.eps.flags.writeable
+        assert derive.call_count == derivations
+
+
 def test_place_best_lands_at_best_spot_or_leaves_the_tu_untouched():
     tu = pack_3dbp(T_120_80_160, _random_boxes(random.Random(7), 12)).tus[0]
     placements, weight, eps = list(tu.placements), tu.total_weight, tu.eps
@@ -691,7 +757,19 @@ def test_place_best_lands_at_best_spot_or_leaves_the_tu_untouched():
     assert ep_list(tu.eps) == ep_list(twin.eps) and tu.total_weight == weight + 5
 
 
-def test_best_spot_is_exhaustive_lexicographic_minimum():
+def test_best_spot_is_exhaustive_lexicographic_minimum(monkeypatch):
+    """``best_spot`` against every (EP, orientation) pair fit-tested one by
+    one, on states where the cheapest candidate often fails, so that the
+    rank-1-on fallback (``_fitting``) runs many times."""
+    fallbacks = 0
+
+    def counted(*args):
+        nonlocal fallbacks
+        fallbacks += 1
+        return fitting(*args)
+
+    fitting = packer._fitting
+    monkeypatch.setattr(packer, "_fitting", counted)
     cases = 0
     for seed in range(12):
         rng = random.Random(100 + seed)
@@ -721,7 +799,28 @@ def test_best_spot_is_exhaustive_lexicographic_minimum():
                     cost, i, oi = min(feasible)
                     assert got == (cost, i, oris[oi])
                     cases += 1
-    assert cases > 100
+    assert cases > 100 and fallbacks >= 20
+
+
+def test_best_spot_falls_back_when_the_cheapest_candidate_overlaps():
+    """A post off the origin's axis rays leaves the origin its whole
+    residuals, so a slab there passes the residual test at the least price
+    (rank 0) but overlaps the post; ``best_spot`` lands it at rank 1, the
+    lower of the two EPs the post's floor projections give at the next
+    price."""
+    tut = TuType("cube", 100, 100, 100, 1000)
+    post = BoxSpec("post", 20, 20, 10)
+    tu = PackedTu(tut, [Placement.of(post, enumerate_orientations(post)[0], 20, 20, 0)])
+    slab = BoxSpec("slab", 50, 50, 5)
+    ob, = enumerate_orientations(slab)
+    eps = ep_list(tu.eps)
+    # (cost, EP index) of the EPs whose residuals hold the slab
+    ranked = sorted((placement_cost(e, ob, tu.nbox), i) for i, e in enumerate(eps)
+                    if ob.w <= e.rx and ob.l <= e.ry and ob.h <= e.rz)
+    assert eps[ranked[0][1]] == ExtremePoint(0, 0, 0, 100, 100, 100)
+    assert not can_fit(tu, eps[ranked[0][1]], ob, slab)
+    assert ranked[1][0] == ranked[2][0] and can_fit(tu, eps[ranked[1][1]], ob, slab)
+    assert best_spot(tu, slab) == (ranked[1][0], ranked[1][1], ob)
 
 
 def test_pack_3dbp_equals_pack_without_memo():

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tupack import packer
 from tupack.fileio import dump_solution
 from tupack.generator import DEFAULT_CATALOG, Instance, generate_instance, validate_solution
 from tupack.geometry import (
@@ -468,6 +469,31 @@ def test_solve_output_is_pinned(volume, weight, scheme):
     lines = dump_solution(sol, inst.name, inst.objective).splitlines(keepends=True)
     body = "".join(line for line in lines if not line.startswith("fitness "))
     assert hashlib.sha256(body.encode()).hexdigest() == _PINNED[volume, weight, scheme]
+
+
+# (volume m3, weight kg, eps_of_layout calls): the two scheme-2 solves of
+# perfbench's solve-large workload (generator seed 7, omega 95, search seed
+# 1), 98 in all; deriving the EPs at every removal took 97 and 100
+_REDERIVED = [(2.5, 900, 45), (5, 1579, 53)]
+
+
+@pytest.mark.parametrize("volume, weight, calls", _REDERIVED)
+def test_solve_derives_removal_eps_only_when_read(monkeypatch, volume, weight, calls):
+    """``eps_of_layout`` calls of two large solves, counted through the
+    module global ``PackedTu.eps`` calls it by. A removal leaves the EPs
+    stale and only a read derives them, so a solve that re-derives more
+    often fails here."""
+    count = 0
+
+    def counted(tu, _derive=packer.eps_of_layout):
+        nonlocal count
+        count += 1
+        return _derive(tu)
+
+    monkeypatch.setattr(packer, "eps_of_layout", counted)
+    inst, _ = make_instance(volume, weight, 2, seed=7)
+    solve(inst, search=SearchParams(omega=95, seed=1))
+    assert count == calls
 
 
 def test_solve_empty_instance():
