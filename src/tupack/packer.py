@@ -85,12 +85,30 @@ DEFAULT_COST = CostParams()
 DEFAULT_SORT = SortParams()
 
 
+@dataclass(frozen=True)
+class PackTrail:
+    """What a pack decided, for a later pack of the same type to replay.
+
+    ``order`` is the pack's sorted boxes and ``steps`` its decision for each
+    of them in that order, up to where the pack stopped: None for a box that
+    fits no TU of the type, else ``(TU index, orientation, x, y, z)``, where
+    a TU index equal to the number of TUs open at that step opens a TU."""
+
+    tu_type: TuType
+    cost: CostParams
+    sort: SortParams
+    order: list[BoxSpec]
+    steps: list[tuple | None]
+
+
 @dataclass
 class PackResult:
-    """Outcome of a constructive pack: filled TUs plus boxes that fit nowhere."""
+    """Outcome of a constructive pack: filled TUs plus boxes that fit nowhere,
+    and the ``trail`` of its decisions."""
 
     tus: list[PackedTu]
     unplaced: list[BoxSpec]
+    trail: PackTrail
 
 
 def min_height_orientation(box: BoxSpec) -> Orientation:
@@ -647,6 +665,33 @@ def _floor(node: _Node, low: np.ndarray, box_part: float, cp: CostParams):
     return float(np.minimum.reduce(parts)) + box_part - node.layout.shape[1]
 
 
+def _decide(tus: list[PackedTu], nodes: list[_Node], box: BoxSpec, shape: tuple,
+            cp: CostParams):
+    """A live decision for a box that fits an empty TU: ``(TU index,
+    orientation, x, y, z)`` of its ``_cheapest`` spot over the open TUs, or
+    ``(len(tus), None)`` when it needs a TU opened first."""
+    best = _cheapest(tus, nodes, box, shape, cp)
+    if best is None:
+        return len(tus), None
+    _, ti, ep_idx, ob = best
+    return (ti, ob, *nodes[ti].eps[ep_idx, :3].tolist())
+
+
+def _replayable(trail: PackTrail | None, tut: TuType, cp: CostParams, sp: SortParams,
+                order: list[BoxSpec]) -> list:
+    """The trail's steps for the longest prefix of ``order`` whose (shape,
+    weight) pairs are the trail's own; none for a trail of another type or
+    other constants."""
+    if trail is None or (trail.tu_type, trail.cost, trail.sort) != (tut, cp, sp):
+        return []
+    n = 0
+    for mine, theirs in zip(order, trail.order[:len(trail.steps)]):
+        if mine is not theirs and (mine.shape != theirs.shape or mine.weight != theirs.weight):
+            break
+        n += 1
+    return trail.steps[:n]
+
+
 def pack_3dbp(
     tut: TuType,
     boxes: list[BoxSpec],
@@ -654,6 +699,7 @@ def pack_3dbp(
     sp: SortParams = DEFAULT_SORT,
     *,
     max_tus: int | None = None,
+    trail: PackTrail | None = None,
 ) -> PackResult:
     """Sorted constructive insertion into TUs of a single type.
 
@@ -673,6 +719,16 @@ def pack_3dbp(
     child's arrays instead of running ``update_eps``. A child is linked into
     its parent only for a box shape that occurs more than once in the pack,
     since only such a placement can repeat; the trie lives for this call.
+
+    ``trail``, the ``PackResult.trail`` of an earlier pack, lets this pack
+    replay that pack's decisions for the longest prefix of its insertion
+    order that repeats the earlier one's (shape, weight) pairs, when both
+    share the type and constants; the first k decisions of a pack depend
+    on nothing else. A replayed box skips the search for its spot but lands
+    through ``add`` or ``take`` as a live one does, and a replayed opening
+    past ``max_tus`` cuts the pack as well. After the prefix the pack runs
+    live. ``trail`` stays keyword-only: perfbench's probe of this function
+    reads positional argument 4 as the ``open_tus`` it once had.
     """
     tus: list[PackedTu] = []
     nodes: list[_Node] = []
@@ -681,21 +737,29 @@ def pack_3dbp(
     shapes = [box.shape for box in order]
     repeated = {shape for shape, n in Counter(shapes).items() if n > 1}
     root = _Node(PackedTu(tut))
+    replay = _replayable(trail, tut, cp, sp, order)
+    steps: list[tuple | None] = []
     for i, (box, shape) in enumerate(zip(order, shapes)):
-        if not fits_empty(box, tut):
-            unplaced.append(box)
-            continue
-        best = _cheapest(tus, nodes, box, shape, cp)
-        if best is None:
+        if i < len(replay):
+            step = replay[i]
+        elif fits_empty(box, tut):
+            step = _decide(tus, nodes, box, shape, cp)
+        else:
+            step = None
+        if step is not None and step[0] == len(tus):
             if len(tus) == max_tus:
                 unplaced.extend(order[i:])
                 break
             tus.append(PackedTu(tut))
             nodes.append(root)
-            best = _cheapest(tus, nodes, box, shape, cp)
-        _, ti, ep_idx, ob = best
+            if step[1] is None:
+                step = _decide(tus, nodes, box, shape, cp)
+        steps.append(step)
+        if step is None:
+            unplaced.append(box)
+            continue
+        ti, ob, x, y, z = step
         tu, node = tus[ti], nodes[ti]
-        x, y, z = node.eps[ep_idx, :3].tolist()
         placed = Placement.of(box, ob, x, y, z)
         key = (ob.code, x, y, z, shape)
         child = node.children.get(key)
@@ -707,4 +771,4 @@ def pack_3dbp(
         else:
             tu.take(placed, child)
         nodes[ti] = child
-    return PackResult(tus, unplaced)
+    return PackResult(tus, unplaced, PackTrail(tut, cp, sp, order, steps))

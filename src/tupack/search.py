@@ -137,7 +137,10 @@ class Run:
     so a tracer can rebind them.
 
     ``packs`` maps a rebuild's (type, released boxes) to the TUs of its full
-    pack, or to the cap at which its pack was cut (see ``_rebuild``)."""
+    pack, or to the cap at which its pack was cut (see ``_rebuild``).
+    ``trails`` maps each type to the ``PackTrail`` of the run's last pack of
+    that type, which the next pack of the type replays as far as their
+    insertion orders agree."""
 
     objective: ObjectiveParams
     cost: CostParams
@@ -147,6 +150,7 @@ class Run:
     pointer: TypePointer
     stats: SolveStats
     packs: dict = field(default_factory=dict)
+    trails: dict = field(default_factory=dict)
 
 
 def initialize(
@@ -154,11 +158,15 @@ def initialize(
     pointer: TypePointer,
     cost: CostParams,
     sort: SortParams,
+    *,
+    trails: dict | None = None,
 ) -> Solution:
     """First feasible solution: pack everything with the smallest type.
 
     Boxes that cannot fit the smallest type at all are packed with the next
     larger types in volume order; a box fitting no catalog type raises.
+    ``trails``, when given (``solve`` passes ``Run.trails``), receives each
+    pack's trail under its type.
     """
     remaining = list(instance.boxes)
     tus: list[PackedTu] = []
@@ -166,6 +174,8 @@ def initialize(
         if not remaining:
             break
         result = pack_3dbp(tut, remaining, cost, sort)
+        if trails is not None:
+            trails[tut] = result.trail
         tus.extend(result.tus)
         remaining = result.unplaced
     if remaining:
@@ -328,7 +338,9 @@ def _rebuild(
     to the first box past the cap, so each pack is kept in ``run.packs``: a
     full pack of n TUs answers every later cap (n <= cap reuses copies of its
     TUs, a tighter cap is cut), and a pack cut at cap c answers every cap
-    <= c. Only a looser cap than a cut one packs again.
+    <= c. Only a looser cap than a cut one packs again. A pack replays the
+    decisions it shares with the run's last pack of the type
+    (``run.trails``), and its own trail replaces that one.
     """
     if any(not fits_empty(b, tut) for b in released):
         return None
@@ -342,7 +354,9 @@ def _rebuild(
     key = (tut, tuple(released))
     packed = run.packs.get(key)
     if packed is None or (isinstance(packed, int) and cap > packed):
-        result = pack_3dbp(tut, released, run.cost, run.sort, max_tus=cap)
+        result = pack_3dbp(tut, released, run.cost, run.sort, max_tus=cap,
+                           trail=run.trails.get(tut))
+        run.trails[tut] = result.trail
         packed = run.packs[key] = cap if result.unplaced else result.tus
     if isinstance(packed, int) or len(packed) > cap:
         return None
@@ -431,7 +445,7 @@ def solve(
         objective or instance.objective, cost or CostParams(), sort or SortParams(), search,
         random.Random(search.seed), TypePointer(instance.catalog), stats or SolveStats(),
     )
-    sol = initialize(instance, run.pointer, run.cost, run.sort)
+    sol = initialize(instance, run.pointer, run.cost, run.sort, trails=run.trails)
     run.stats.record("init", fitness(sol, run.objective), sol)
     while True:
         sol = ls1(sol, run)

@@ -496,6 +496,31 @@ def test_solve_derives_removal_eps_only_when_read(monkeypatch, volume, weight, c
     assert count == calls
 
 
+# (volume m3, weight kg, best_spot calls): the same two solves, 9,659 in
+# all; packing every rebuild without the last trail of its type took 2,052
+# and 8,185
+_REPLAYED = [(2.5, 900, 1819), (5, 1579, 7840)]
+
+
+@pytest.mark.parametrize("volume, weight, calls", _REPLAYED)
+def test_solve_replays_the_decisions_a_rebuild_shares(monkeypatch, volume, weight, calls):
+    """``best_spot`` calls of the two large solves, counted through the
+    module global the packer calls it by. Each pack replays the decisions
+    it shares with the run's last pack of its type, seeded by the first
+    solution's packs, so a solve whose trails stop replaying fails here."""
+    count = 0
+
+    def counted(*args, _spot=packer.best_spot, **kwargs):
+        nonlocal count
+        count += 1
+        return _spot(*args, **kwargs)
+
+    monkeypatch.setattr(packer, "best_spot", counted)
+    inst, _ = make_instance(volume, weight, 2, seed=7)
+    solve(inst, search=SearchParams(omega=95, seed=1))
+    assert count == calls
+
+
 def test_solve_empty_instance():
     inst = Instance("e", [], list(DEFAULT_CATALOG))
     stats = SolveStats()
