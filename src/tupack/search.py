@@ -132,9 +132,9 @@ class SolveStats:
 @dataclass(frozen=True)
 class Run:
     """What every step of one solve shares: its constants, its one random
-    stream, the type pointer, the trace and the rebuild memo. A record, not a
-    class with move methods: the moves stay module functions called by name,
-    so a tracer can rebind them.
+    stream, the type pointer, the trace, the rebuild memo and the trails. A
+    record, not a class with move methods: the moves stay module functions
+    called by name, so a tracer can rebind them.
 
     ``packs`` maps a rebuild's (type, released boxes) to the TUs of its full
     pack, or to the cap at which its pack was cut (see ``_rebuild``).
