@@ -92,7 +92,9 @@ class PackTrail:
     ``order`` is the pack's sorted boxes and ``steps`` its decision for each
     of them in that order, up to where the pack stopped: None for a box that
     fits no TU of the type, else ``(TU index, orientation, x, y, z)``, where
-    a TU index equal to the number of TUs open at that step opens a TU."""
+    a TU index equal to the number of TUs open at that step opens a TU.
+    ``pack_3dbp`` replays them without the EP update of each box: it
+    derives each TU's EPs once, in insertion order, where the replay ends."""
 
     tu_type: TuType
     cost: CostParams
@@ -158,16 +160,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _ray(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, axes: np.ndarray, own: np.ndarray):
+def _ray(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, axes: np.ndarray, own: np.ndarray,
+         seen: np.ndarray | None = None):
     """Per point (columns of ``p``, one row per axis), the coordinate reached
     going from it toward the origin on its own axis (``axes``, one per point;
     ``own`` is ``_AXES == axes`` as a (3, points, 1) mask): the nearest far
-    face of a box whose cross-section covers the point, or the TU wall at 0."""
+    face of a box whose cross-section covers the point, or the TU wall at 0.
+    ``seen``, a (points, boxes) mask, limits each ray to the boxes it marks
+    (the in-order derivation of ``_eps_of``); by default a ray sees them all."""
     p = p[:, :, None]
     # a box is hit when it ends at or before the point on the ray's axis and
     # its spans on the two other axes cover the point (hi <= p gives lo <= p)
     short = (p < hi[:, None]) != own
     hit = _all((lo[:, None] <= p) & short, axis=0)
+    if seen is not None:
+        hit &= seen
     return np.maximum.reduce(hi[axes], axis=1, where=hit, initial=0)
 
 
@@ -235,7 +242,8 @@ def _rays_of(n: int):
     return tuple(out)
 
 
-def _candidate_points(lo, hi, rules: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+def _candidate_points(lo, hi, rules: np.ndarray, boxes: np.ndarray,
+                      in_order: bool = False) -> np.ndarray:
     """The up-to-five anchor points each box (columns of the corner array
     ``boxes``) contributes, as (N, 3) rows, box by box and rule by rule;
     ``rules`` (boxes, 5) says which rules each box keeps.
@@ -243,12 +251,16 @@ def _candidate_points(lo, hi, rules: np.ndarray, boxes: np.ndarray) -> np.ndarra
     Rule 1 projects the east-south-down corner down then south; rule 2 the
     west-north-down corner down then west. Rules 3-5 apply only to stackable
     boxes: the top corner itself plus its south and west projections. Rays
-    run against the whole load (``lo``/``hi``) in two ``_ray`` passes.
+    run against the whole load (``lo``/``hi``) in two ``_ray`` passes;
+    ``in_order``, when ``boxes`` is that whole load in insertion order, lets
+    box b's rays see only boxes 0 to b, the load ``update_eps`` met it with.
     """
     n = boxes.shape[1]
     pts = boxes[_START]  # (axis, rule, box)
+    upto = np.tri(n, dtype=bool) if in_order else None
     for rule, axes, each, own in _rays_of(n):
-        reach = _ray(lo, hi, pts[:, rule].reshape(3, -1), each, own)
+        seen = None if upto is None else np.tile(upto, (len(rule), 1))
+        reach = _ray(lo, hi, pts[:, rule].reshape(3, -1), each, own, seen)
         pts[axes, rule] = reach.reshape(-1, n)
     return pts.transpose(2, 1, 0)[rules]
 
@@ -296,13 +308,27 @@ def eps_of_layout(tu: PackedTu) -> np.ndarray:
     """The EP array derived from a layout alone, with no construction history:
     the origin, then every box's projection points, all measured against the
     whole load like ``update_eps``'s new points. An empty TU yields the
-    single origin EP."""
+    single origin EP. Its in-order twin, ``_eps_of(tu, True)``, has the
+    history of a load built by ``add`` alone."""
+    return _eps_of(tu, False)
+
+
+def _eps_of(tu: PackedTu, in_order: bool) -> np.ndarray:
+    """``eps_of_layout``'s derivation; with ``in_order``, for a load added
+    box by box to an empty TU, it is the array the ``update_eps`` chain
+    built. Each box's rays then see only the boxes up to it, as when it was
+    added. Measuring every point against the whole load is what the chain's
+    cuts amount to: an old EP is cut by each later box and dies when one
+    covers it. A point that repeats an EP dead by then is covered by the box
+    that killed it, so dropping it as a repeat, as here, or as covered, as
+    there, drops it either way. ``pack_3dbp`` derives in order through
+    ``_settled``, not through the module global ``eps_of_layout``."""
     if not tu.placements:
         return _origin_eps(tu.tu_type)
     lo, hi, nonstack = tu.corners
     tut = tu.tu_type
     frame = _frame(tut.x, tut.y, tut.z)
-    cand = _candidate_points(lo, hi, _TOP_RULES <= ~nonstack[:, None], tu.layout)
+    cand = _candidate_points(lo, hi, _TOP_RULES <= ~nonstack[:, None], tu.layout, in_order)
     pts = np.concatenate((_ORIGIN, _unseen(cand, _ORIGIN, frame)))
     covered, resid = _measure(lo, hi, pts, frame[0])
     return _frozen(np.concatenate((pts, resid), axis=1)[~covered])
@@ -714,8 +740,8 @@ def pack_3dbp(
     that would need one more, and reports that box and every later one (in
     insertion order) unplaced. Up to that box it is the uncapped pack.
 
-    TUs that repeat a placement sequence share its ``_Node``: every TU
-    starts at one root, and a placement whose child node exists takes the
+    Live TUs that repeat a placement sequence share its ``_Node``: every TU
+    opened live starts at one root, and a placement whose child node exists takes the
     child's arrays instead of running ``update_eps``. A child is linked into
     its parent only for a box shape that occurs more than once in the pack,
     since only such a placement can repeat; the trie lives for this call.
@@ -724,13 +750,17 @@ def pack_3dbp(
     replay that pack's decisions for the longest prefix of its insertion
     order that repeats the earlier one's (shape, weight) pairs, when both
     share the type and constants; the first k decisions of a pack depend
-    on nothing else. A replayed box skips the search for its spot but lands
-    through ``add`` or ``take`` as a live one does, and a replayed opening
-    past ``max_tus`` cuts the pack as well. After the prefix the pack runs
-    live. ``trail`` stays keyword-only: perfbench's probe of this function
+    on nothing else. A replayed box skips the search for its spot and lands
+    bare, in a TU that holds only its placements: no ``update_eps``, no
+    ``_Node`` and no trie link. A replayed opening past ``max_tus`` cuts
+    the pack as a live one does. Where the replay ends, or cuts the pack,
+    each TU's layout and EPs are built once, in insertion order
+    (``_settled``): the arrays its ``add`` chain would have built. Each then gets a fresh node, and the pack runs live. A
+    replayed TU is never left stale, since ``eps_of_layout`` would derive
+    other EPs. ``trail`` stays keyword-only: perfbench's probe of this function
     reads positional argument 4 as the ``open_tus`` it once had.
     """
-    tus: list[PackedTu] = []
+    tus: list[LoadedTu] = []  # replayed TUs hold bare placements until settled
     nodes: list[_Node] = []
     unplaced: list[BoxSpec] = []
     order = sort_boxes(boxes, tut, sp)
@@ -740,7 +770,11 @@ def pack_3dbp(
     replay = _replayable(trail, tut, cp, sp, order)
     steps: list[tuple | None] = []
     for i, (box, shape) in enumerate(zip(order, shapes)):
-        if i < len(replay):
+        live = i >= len(replay)
+        if i == len(replay):
+            tus = _settled(tus)
+            nodes = [_Node(tu) for tu in tus]
+        if not live:
             step = replay[i]
         elif fits_empty(box, tut):
             step = _decide(tus, nodes, box, shape, cp)
@@ -750,7 +784,7 @@ def pack_3dbp(
             if len(tus) == max_tus:
                 unplaced.extend(order[i:])
                 break
-            tus.append(PackedTu(tut))
+            tus.append(PackedTu(tut) if live else LoadedTu(tut))
             nodes.append(root)
             if step[1] is None:
                 step = _decide(tus, nodes, box, shape, cp)
@@ -759,8 +793,11 @@ def pack_3dbp(
             unplaced.append(box)
             continue
         ti, ob, x, y, z = step
-        tu, node = tus[ti], nodes[ti]
         placed = Placement.of(box, ob, x, y, z)
+        if not live:
+            tus[ti].add(placed)
+            continue
+        tu, node = tus[ti], nodes[ti]
         key = (ob.code, x, y, z, shape)
         child = node.children.get(key)
         if child is None:
@@ -771,4 +808,17 @@ def pack_3dbp(
         else:
             tu.take(placed, child)
         nodes[ti] = child
-    return PackResult(tus, unplaced, PackTrail(tut, cp, sp, order, steps))
+    return PackResult(_settled(tus), unplaced, PackTrail(tut, cp, sp, order, steps))
+
+
+def _settled(tus: list[LoadedTu]) -> list[PackedTu]:
+    """The pack's TUs, each replayed one, which holds only its bare
+    placements, built into a ``PackedTu`` with the layout and the EPs its
+    ``add`` chain would have left: ``_eps_of`` in insertion order."""
+    out = []
+    for tu in tus:
+        if not isinstance(tu, PackedTu):
+            tu = PackedTu(tu.tu_type, tu.placements)
+            tu.eps = _eps_of(tu, True)
+        out.append(tu)
+    return out

@@ -338,12 +338,12 @@ def _rebuild(
     to the first box past the cap, so each pack is kept in ``run.packs``: a
     full pack of n TUs answers every later cap (n <= cap reuses copies of its
     TUs, a tighter cap is cut), and a pack cut at cap c answers every cap
-    <= c. Only a looser cap than a cut one packs again. A pack replays the
-    decisions it shares with the run's last pack of the type
-    (``run.trails``), and its own trail replaces that one.
+    <= c. Only a looser cap than a cut one packs again. A call that packs
+    first checks every released box against an empty TU; a call the memo
+    answers skips that check, which its stored pack passed. A pack replays the decisions it shares with the run's
+    last pack of the type (``run.trails``), and its own trail replaces that
+    one.
     """
-    if any(not fits_empty(b, tut) for b in released):
-        return None
     objective = run.objective
     per_tu = tut.volume_liters + objective.alpha * objective.theta + objective.beta
     cap = math.ceil(budget / per_tu) - 1
@@ -354,6 +354,8 @@ def _rebuild(
     key = (tut, tuple(released))
     packed = run.packs.get(key)
     if packed is None or (isinstance(packed, int) and cap > packed):
+        if any(not fits_empty(b, tut) for b in released):
+            return None
         result = pack_3dbp(tut, released, run.cost, run.sort, max_tus=cap,
                            trail=run.trails.get(tut))
         run.trails[tut] = result.trail

@@ -43,6 +43,7 @@ from tupack.packer import (
 from tupack.packer import (
     _box_part,
     _cheapest,
+    _eps_of,
     _floor,
     _frame,
     _measure,
@@ -665,6 +666,40 @@ def test_every_insertion_equals_the_full_remeasure(dims, steps):
         assert ep_list(tu.eps) == _ref_eps(tu, before + _ref_candidates(tu, p))
 
 
+# TU types whose sides box extents often divide, so loads reach the walls
+_WALLED = [TuType("cube", 60, 60, 60, 10**6), TuType("long", 100, 40, 50, 10**6),
+           TuType("tall", 30, 50, 120, 10**6)]
+
+
+def _walled_box(tut):
+    def side(d):
+        return st.sampled_from((d // 2, d // 3, d // 5)) | st.integers(1, d // 2)
+    return st.tuples(side(tut.x), side(tut.y), side(tut.z),
+                     st.booleans(), st.booleans(), st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tut=st.sampled_from(_WALLED), data=st.data())
+def test_in_order_derivation_equals_the_add_chain(tut, data):
+    """A load added box by box to an empty TU, as ``_eps_of`` derives it
+    in insertion order in one step, has the EP array its ``add`` chain
+    built, row for row, after every box: in TUs of three
+    types, with rotation flags, non-stackable boxes, boxes whose extents
+    divide the TU's so that loads touch the walls, and boxes anchored at the
+    cheapest spot or flush on any EP."""
+    steps = data.draw(st.lists(st.tuples(_walled_box(tut), st.none() | st.integers(0, 63)),
+                               min_size=1, max_size=14))
+    tu = PackedTu(tut)
+    for i, ((w, l, h, txz, tyz, stackable), pick) in enumerate(steps):
+        box = BoxSpec(f"b{i}", w, l, h, 0, txz, tyz, stackable)
+        spot = _anchored_spot(tu, box, pick)
+        if spot is None:
+            continue
+        place_box(tu, box, spot[1], spot[0])
+        derived = _eps_of(PackedTu(tut, tu.placements), True)
+        assert derived.tolist() == tu.eps.tolist() and not derived.flags.writeable
+
+
 def test_remove_at_reseeds_from_the_layout():
     for seed in range(6):
         rng = random.Random(300 + seed)
@@ -1089,6 +1124,22 @@ def test_a_trail_replays_the_shared_prefix():
     warm, warm_calls = _best_spot_calls(tut, more, trail=first.trail)
     _same_pack(warm, cold)
     assert (warm_calls, cold_calls) == (12, 151)
+
+
+def test_a_pack_replayed_whole_makes_no_ep_update(monkeypatch):
+    """A box list packed again with its own trail lands every box bare and
+    derives each TU's EPs once where the replay ends, so ``update_eps``
+    never runs, and the TUs hold the arrays the first pack's ``add`` chain
+    built; cut by a cap during the replay, it is the cold capped pack."""
+    inst, _ = generate_instance(DemandPoint(3, 400), 2, seed=1)
+    tut = next(t for t in DEFAULT_CATALOG if t.id == "120x80x160")
+    first, capped = pack_3dbp(tut, inst.boxes), pack_3dbp(tut, inst.boxes, max_tus=1)
+    assert len(first.tus) > 1 and capped.unplaced
+    calls = []
+    monkeypatch.setattr(packer, "update_eps", lambda *args: calls.append(args))
+    _same_pack(pack_3dbp(tut, inst.boxes, trail=first.trail), first)
+    _same_pack(pack_3dbp(tut, inst.boxes, max_tus=1, trail=first.trail), capped)
+    assert calls == []
 
 
 def _twin_tus():

@@ -521,6 +521,31 @@ def test_solve_replays_the_decisions_a_rebuild_shares(monkeypatch, volume, weigh
     assert count == calls
 
 
+# (volume m3, weight kg, update_eps calls): the same two solves, 6,503 in
+# all; landing each replayed box through ``PackedTu.add`` took 1,738 and
+# 5,326
+_UPDATED = [(2.5, 900, 1513), (5, 1579, 4990)]
+
+
+@pytest.mark.parametrize("volume, weight, calls", _UPDATED)
+def test_solve_lands_replayed_boxes_without_an_ep_update(monkeypatch, volume, weight, calls):
+    """``update_eps`` calls of the two large solves, counted through the
+    module global ``PackedTu.add`` calls it by. A replayed box lands bare
+    and its TU's EPs are derived once where the replay ends, so a solve
+    that updates the EPs of replayed boxes fails here."""
+    count = 0
+
+    def counted(*args, _update=packer.update_eps):
+        nonlocal count
+        count += 1
+        return _update(*args)
+
+    monkeypatch.setattr(packer, "update_eps", counted)
+    inst, _ = make_instance(volume, weight, 2, seed=7)
+    solve(inst, search=SearchParams(omega=95, seed=1))
+    assert count == calls
+
+
 def test_solve_empty_instance():
     inst = Instance("e", [], list(DEFAULT_CATALOG))
     stats = SolveStats()
@@ -739,3 +764,37 @@ def test_rebuild_memo_packs_a_key_once_per_cap_and_hands_out_copies(monkeypatch)
     assert dump_solution(second, inst.name, OBJ) == text
     third = rebuild(5)
     assert caps == [1, 2] and dump_solution(third, inst.name, OBJ) == text
+
+
+def test_rebuild_checks_fits_empty_only_before_it_packs(monkeypatch):
+    """A rebuild the memo answers makes no ``fits_empty`` call, since its
+    stored pack passed the check; a rebuild whose released boxes include one
+    too tall for the type is refused by the check, without a pack."""
+    checked, packed = [], []
+
+    def counting_fits(box, tut):
+        checked.append(box)
+        return fits_empty(box, tut)
+
+    def counting_pack(*args, **kwargs):
+        packed.append(kwargs["max_tus"])
+        return pack_3dbp(*args, **kwargs)
+
+    inst, _ = make_instance(1.5, 300, 2, seed=11, name="fit")
+    sol = initialize(inst, TypePointer(inst.catalog), COST, SORT)
+    monkeypatch.setattr("tupack.search.fits_empty", counting_fits)
+    monkeypatch.setattr("tupack.search.pack_3dbp", counting_pack)
+    tut = next(t for t in inst.catalog if t.id == "120x80x160")
+    kept, freed, _ = _destroy(sol, list(range(len(sol.tus))), OBJ, fitness(sol, OBJ))
+    per_tu = tut.volume_liters + OBJ.alpha * OBJ.theta + OBJ.beta
+    run = _run()
+    assert _rebuild(kept, freed, tut, run, 5.5 * per_tu) is not None
+    assert len(checked) == len(freed) and len(packed) == 1
+    del checked[:]
+    for cap in (5, 2, 1):  # served from the memo: copies, or cut
+        _rebuild(kept, freed, tut, run, (cap + 0.5) * per_tu)
+    assert checked == [] and len(packed) == 1
+    tall = BoxSpec("tall", 10, 10, tut.z + 1, 1)
+    assert not fits_empty(tall, tut)
+    assert _rebuild(kept, freed + [tall], tut, run, 5.5 * per_tu) is None
+    assert checked[-1] is tall and len(packed) == 1 and len(run.packs) == 1
