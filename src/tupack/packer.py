@@ -741,10 +741,11 @@ def pack_3dbp(
     insertion order) unplaced. Up to that box it is the uncapped pack.
 
     Live TUs that repeat a placement sequence share its ``_Node``: every TU
-    opened live starts at one root, and a placement whose child node exists takes the
-    child's arrays instead of running ``update_eps``. A child is linked into
-    its parent only for a box shape that occurs more than once in the pack,
-    since only such a placement can repeat; the trie lives for this call.
+    opened live starts at one root, and a placement whose child node exists
+    takes the child's arrays instead of running ``update_eps``. A child is
+    linked into its parent only for a box shape that occurs more than once
+    in the pack, since only such a placement can repeat; the trie lives for
+    this call.
 
     ``trail``, the ``PackResult.trail`` of an earlier pack, lets this pack
     replay that pack's decisions for the longest prefix of its insertion
@@ -755,10 +756,11 @@ def pack_3dbp(
     ``_Node`` and no trie link. A replayed opening past ``max_tus`` cuts
     the pack as a live one does. Where the replay ends, or cuts the pack,
     each TU's layout and EPs are built once, in insertion order
-    (``_settled``): the arrays its ``add`` chain would have built. Each then gets a fresh node, and the pack runs live. A
-    replayed TU is never left stale, since ``eps_of_layout`` would derive
-    other EPs. ``trail`` stays keyword-only: perfbench's probe of this function
-    reads positional argument 4 as the ``open_tus`` it once had.
+    (``_settled``): the arrays its ``add`` chain would have built. Each TU
+    then gets a fresh node, and the pack runs live. A replayed TU is never
+    left stale, since ``eps_of_layout`` would derive other EPs. ``trail``
+    stays keyword-only: perfbench's probe of this function reads
+    positional argument 4 as the ``open_tus`` it once had.
     """
     tus: list[LoadedTu] = []  # replayed TUs hold bare placements until settled
     nodes: list[_Node] = []
