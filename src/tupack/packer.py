@@ -85,32 +85,15 @@ DEFAULT_COST = CostParams()
 DEFAULT_SORT = SortParams()
 
 
-@dataclass(frozen=True)
-class PackTrail:
-    """What a pack decided, for a later pack of the same type to replay.
-
-    ``order`` is the pack's sorted boxes and ``steps`` its decision for each
-    of them in that order, up to where the pack stopped: None for a box that
-    fits no TU of the type, else ``(TU index, orientation, x, y, z)``, where
-    a TU index equal to the number of TUs open at that step opens a TU.
-    ``pack_3dbp`` replays them without the EP update of each box: it
-    derives each TU's EPs once, in insertion order, where the replay ends."""
-
-    tu_type: TuType
-    cost: CostParams
-    sort: SortParams
-    order: list[BoxSpec]
-    steps: list[tuple | None]
-
-
 @dataclass
 class PackResult:
-    """Outcome of a constructive pack: filled TUs plus boxes that fit nowhere,
-    and the ``trail`` of its decisions."""
+    """Outcome of a constructive pack: filled TUs plus boxes that fit nowhere.
+    A TU the pack loaded wholly from recorded decisions (``pack_3dbp``'s
+    ``decisions``) comes back stale and derives its EPs, in insertion
+    order, on first read."""
 
     tus: list[PackedTu]
     unplaced: list[BoxSpec]
-    trail: PackTrail
 
 
 def min_height_orientation(box: BoxSpec) -> Orientation:
@@ -321,8 +304,8 @@ def _eps_of(tu: PackedTu, in_order: bool) -> np.ndarray:
     cuts amount to: an old EP is cut by each later box and dies when one
     covers it. A point that repeats an EP dead by then is covered by the box
     that killed it, so dropping it as a repeat, as here, or as covered, as
-    there, drops it either way. ``pack_3dbp`` derives in order through
-    ``_settled``, not through the module global ``eps_of_layout``."""
+    there, drops it either way. ``PackedTu.eps`` derives in order for a TU
+    made ``in_order``, not through the module global ``eps_of_layout``."""
     if not tu.placements:
         return _origin_eps(tu.tu_type)
     lo, hi, nonstack = tu.corners
@@ -347,19 +330,23 @@ class PackedTu(LoadedTu):
     derivation. All arrays are read-only and replaced, never edited, so
     clones share them, TUs of one layout in a pack share them (``take``),
     and empty TUs share one empty layout. ``PackedTu(tut, placements)``
-    starts stale when it has placements."""
+    starts stale when it has placements. With ``in_order``, the placements
+    are a load added in that order to an empty TU, and the first read
+    derives the array their ``add`` chain builds (``_eps_of(tu, True)``)
+    instead; ``remove_at`` ends that history."""
 
-    __slots__ = ("_eps", "layout", "corners")
+    __slots__ = ("_eps", "_in_order", "layout", "corners")
 
-    def __init__(self, tu_type: TuType, placements=()):
+    def __init__(self, tu_type: TuType, placements=(), in_order: bool = False):
         super().__init__(tu_type, placements)
         self.layout, self.corners = _layout(self.placements)
         self._eps = None if self.placements else _origin_eps(tu_type)
+        self._in_order = in_order
 
     @property
     def eps(self) -> np.ndarray:
         if self._eps is None:
-            self._eps = eps_of_layout(self)
+            self._eps = _eps_of(self, True) if self._in_order else eps_of_layout(self)
         return self._eps
 
     @eps.setter
@@ -371,7 +358,7 @@ class PackedTu(LoadedTu):
         the two never derive the same layout twice."""
         twin = PackedTu.__new__(PackedTu)
         twin.tu_type, twin.placements = self.tu_type, list(self.placements)
-        twin.total_weight, twin._eps = self.total_weight, self.eps
+        twin.total_weight, twin._eps, twin._in_order = self.total_weight, self.eps, False
         twin.layout, twin.corners = self.layout, self.corners
         return twin
 
@@ -392,10 +379,11 @@ class PackedTu(LoadedTu):
         self._eps, self.layout, self.corners = node.eps, node.layout, node.corners
 
     def remove_at(self, index: int) -> Placement:
-        """Take out a placement; the EPs go stale until next read."""
+        """Take out a placement; the EPs go stale until next read, and
+        derive from the layout alone."""
         p = super().remove_at(index)
         self.layout, self.corners = _layout(self.placements)
-        self._eps = None
+        self._eps, self._in_order = None, False
         return p
 
 
@@ -703,21 +691,6 @@ def _decide(tus: list[PackedTu], nodes: list[_Node], box: BoxSpec, shape: tuple,
     return (ti, ob, *nodes[ti].eps[ep_idx, :3].tolist())
 
 
-def _replayable(trail: PackTrail | None, tut: TuType, cp: CostParams, sp: SortParams,
-                order: list[BoxSpec]) -> list:
-    """The trail's steps for the longest prefix of ``order`` whose (shape,
-    weight) pairs are the trail's own; none for a trail of another type or
-    other constants."""
-    if trail is None or (trail.tu_type, trail.cost, trail.sort) != (tut, cp, sp):
-        return []
-    n = 0
-    for mine, theirs in zip(order, trail.order[:len(trail.steps)]):
-        if mine is not theirs and (mine.shape != theirs.shape or mine.weight != theirs.weight):
-            break
-        n += 1
-    return trail.steps[:n]
-
-
 def pack_3dbp(
     tut: TuType,
     boxes: list[BoxSpec],
@@ -725,7 +698,7 @@ def pack_3dbp(
     sp: SortParams = DEFAULT_SORT,
     *,
     max_tus: int | None = None,
-    trail: PackTrail | None = None,
+    decisions: dict | None = None,
 ) -> PackResult:
     """Sorted constructive insertion into TUs of a single type.
 
@@ -747,50 +720,60 @@ def pack_3dbp(
     in the pack, since only such a placement can repeat; the trie lives for
     this call.
 
-    ``trail``, the ``PackResult.trail`` of an earlier pack, lets this pack
-    replay that pack's decisions for the longest prefix of its insertion
-    order that repeats the earlier one's (shape, weight) pairs, when both
-    share the type and constants; the first k decisions of a pack depend
-    on nothing else. A replayed box skips the search for its spot and lands
-    bare, in a TU that holds only its placements: no ``update_eps``, no
-    ``_Node`` and no trie link. A replayed opening past ``max_tus`` cuts
-    the pack as a live one does. Where the replay ends, or cuts the pack,
-    each TU's layout and EPs are built once, in insertion order
-    (``_settled``): the arrays its ``add`` chain would have built. Each TU
-    then gets a fresh node, and the pack runs live. A replayed TU is never
-    left stale, since ``eps_of_layout`` would derive other EPs. ``trail``
-    stays keyword-only: perfbench's probe of this function reads
-    positional argument 4 as the ``open_tus`` it once had.
+    ``decisions`` is a store that the packs of one caller share (``solve``
+    keeps one per run). Under ``(tut, cp, sp)`` it holds a trie over the
+    packs' sorted ``(shape, weight)`` sequences: each level maps the next
+    pair to ``(decision, next level)``. A decision is None for a box that
+    fits no TU of the type, else ``(TU index, orientation, x, y, z)``, where
+    a TU index equal to the number of TUs open opens one; ``(TU index,
+    None)`` is an opening that cut a pack at its cap. A pack's first k
+    decisions depend only on the type, the constants and its first k pairs,
+    so the pack replays the decisions along its own sequence and records
+    each live decision it makes. A replayed box skips the search for its
+    spot and lands bare, in a TU that holds only its placements: no
+    ``update_eps``, no ``_Node`` and no trie link. A replayed opening past
+    ``max_tus`` cuts the pack as a live one does; a recorded cut that this
+    cap allows, or a pair the store lacks, ends the replay. There each TU
+    becomes a ``PackedTu`` whose EPs derive in insertion order (``in_order``:
+    the arrays its ``add`` chain would have built) and gets a fresh node.
+    A TU still bare when the pack ends is returned that way, so its EPs are
+    derived only if read. ``decisions`` stays keyword-only: perfbench's
+    probe of this function reads positional argument 4 as the ``open_tus``
+    it once had.
     """
-    tus: list[LoadedTu] = []  # replayed TUs hold bare placements until settled
+    tus: list[LoadedTu] = []  # bare placements until the replay ends
     nodes: list[_Node] = []
     unplaced: list[BoxSpec] = []
     order = sort_boxes(boxes, tut, sp)
     shapes = [box.shape for box in order]
     repeated = {shape for shape, n in Counter(shapes).items() if n > 1}
     root = _Node(PackedTu(tut))
-    replay = _replayable(trail, tut, cp, sp, order)
-    steps: list[tuple | None] = []
+    known = ({} if decisions is None else decisions).setdefault((tut, cp, sp), {})
+    live = False
     for i, (box, shape) in enumerate(zip(order, shapes)):
-        live = i >= len(replay)
-        if i == len(replay):
-            tus = _settled(tus)
-            nodes = [_Node(tu) for tu in tus]
-        if not live:
-            step = replay[i]
-        elif fits_empty(box, tut):
-            step = _decide(tus, nodes, box, shape, cp)
-        else:
-            step = None
+        key = (shape, box.weight)
+        entry = known.get(key)  # always None once live: ``known`` is then a new level
+        step = None if entry is None else entry[0]
+        # live from a pair the store lacks, or from a recorded cut this cap allows
+        if entry is None or (step is not None and step[1] is None and len(tus) != max_tus):
+            if not live:
+                tus, live = [PackedTu(tut, tu.placements, True) for tu in tus], True
+                nodes = [_Node(tu) for tu in tus]
+            if entry is None and fits_empty(box, tut):
+                step = _decide(tus, nodes, box, shape, cp)
         if step is not None and step[0] == len(tus):
             if len(tus) == max_tus:
+                if live:
+                    known[key] = (step, {})
                 unplaced.extend(order[i:])
                 break
             tus.append(PackedTu(tut) if live else LoadedTu(tut))
             nodes.append(root)
             if step[1] is None:
                 step = _decide(tus, nodes, box, shape, cp)
-        steps.append(step)
+        if live:
+            entry = known[key] = (step, {})
+        known = entry[1]
         if step is None:
             unplaced.append(box)
             continue
@@ -800,27 +783,16 @@ def pack_3dbp(
             tus[ti].add(placed)
             continue
         tu, node = tus[ti], nodes[ti]
-        key = (ob.code, x, y, z, shape)
-        child = node.children.get(key)
+        link = (ob.code, x, y, z, shape)
+        child = node.children.get(link)
         if child is None:
             tu.add(placed)
             child = _Node(tu)
             if shape in repeated:
-                node.children[key] = child
+                node.children[link] = child
         else:
             tu.take(placed, child)
         nodes[ti] = child
-    return PackResult(_settled(tus), unplaced, PackTrail(tut, cp, sp, order, steps))
-
-
-def _settled(tus: list[LoadedTu]) -> list[PackedTu]:
-    """The pack's TUs, each replayed one, which holds only its bare
-    placements, built into a ``PackedTu`` with the layout and the EPs its
-    ``add`` chain would have left: ``_eps_of`` in insertion order."""
-    out = []
-    for tu in tus:
-        if not isinstance(tu, PackedTu):
-            tu = PackedTu(tu.tu_type, tu.placements)
-            tu.eps = _eps_of(tu, True)
-        out.append(tu)
-    return out
+    if not live:
+        tus = [PackedTu(tut, tu.placements, True) for tu in tus]
+    return PackResult(tus, unplaced)

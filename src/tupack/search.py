@@ -132,15 +132,13 @@ class SolveStats:
 @dataclass(frozen=True)
 class Run:
     """What every step of one solve shares: its constants, its one random
-    stream, the type pointer, the trace, the rebuild memo and the trails. A
-    record, not a class with move methods: the moves stay module functions
-    called by name, so a tracer can rebind them.
+    stream, the type pointer, the trace and the decision store. A record,
+    not a class with move methods: the moves stay module functions called
+    by name, so a tracer can rebind them.
 
-    ``packs`` maps a rebuild's (type, released boxes) to the TUs of its full
-    pack, or to the cap at which its pack was cut (see ``_rebuild``).
-    ``trails`` maps each type to the ``PackTrail`` of the run's last pack of
-    that type, which the next pack of the type replays as far as their
-    insertion orders agree."""
+    ``decisions`` is the store that every pack of the run, ``initialize``'s
+    included, passes to ``pack_3dbp``: each pack replays the decisions it
+    shares with any earlier pack of its type and records its own."""
 
     objective: ObjectiveParams
     cost: CostParams
@@ -149,8 +147,7 @@ class Run:
     rng: random.Random
     pointer: TypePointer
     stats: SolveStats
-    packs: dict = field(default_factory=dict)
-    trails: dict = field(default_factory=dict)
+    decisions: dict = field(default_factory=dict)
 
 
 def initialize(
@@ -159,23 +156,21 @@ def initialize(
     cost: CostParams,
     sort: SortParams,
     *,
-    trails: dict | None = None,
+    decisions: dict | None = None,
 ) -> Solution:
     """First feasible solution: pack everything with the smallest type.
 
     Boxes that cannot fit the smallest type at all are packed with the next
     larger types in volume order; a box fitting no catalog type raises.
-    ``trails``, when given (``solve`` passes ``Run.trails``), receives each
-    pack's trail under its type.
+    ``decisions`` goes to every ``pack_3dbp`` call (``solve`` passes
+    ``Run.decisions``).
     """
     remaining = list(instance.boxes)
     tus: list[PackedTu] = []
     for tut in pointer.types:
         if not remaining:
             break
-        result = pack_3dbp(tut, remaining, cost, sort)
-        if trails is not None:
-            trails[tut] = result.trail
+        result = pack_3dbp(tut, remaining, cost, sort, decisions=decisions)
         tus.extend(result.tus)
         remaining = result.unplaced
     if remaining:
@@ -332,17 +327,13 @@ def _rebuild(
     product is never negative) plus beta, so at most ``cap`` of them fit the
     budget. A rebuild that needs more can never beat the incumbent: it is
     refused unpacked when the released boxes' volume or weight already needs
-    more, and otherwise the pack stops at the TU past the cap.
+    more, and otherwise the pack stops at the TU past the cap. A released
+    box that fits no empty TU of the type is refused unpacked too.
 
-    ``pack_3dbp`` is deterministic and a capped pack is the uncapped pack up
-    to the first box past the cap, so each pack is kept in ``run.packs``: a
-    full pack of n TUs answers every later cap (n <= cap reuses copies of its
-    TUs, a tighter cap is cut), and a pack cut at cap c answers every cap
-    <= c. Only a looser cap than a cut one packs again. A call that packs
-    first checks every released box against an empty TU; a call the memo
-    answers skips that check, which its stored pack passed. A pack replays the decisions it shares with the run's
-    last pack of the type (``run.trails``), and its own trail replaces that
-    one.
+    The pack replays what earlier packs of the run decided
+    (``run.decisions``), so a repeat of an earlier rebuild at the same or a
+    tighter cap makes no live decision, and its TUs, fresh objects, derive
+    their EPs only if read.
     """
     objective = run.objective
     per_tu = tut.volume_liters + objective.alpha * objective.theta + objective.beta
@@ -351,18 +342,12 @@ def _rebuild(
     weight = sum(b.weight for b in released)
     if cap < max(1, -(-volume // tut.volume_cm3), -(-weight // tut.q)):
         return None
-    key = (tut, tuple(released))
-    packed = run.packs.get(key)
-    if packed is None or (isinstance(packed, int) and cap > packed):
-        if any(not fits_empty(b, tut) for b in released):
-            return None
-        result = pack_3dbp(tut, released, run.cost, run.sort, max_tus=cap,
-                           trail=run.trails.get(tut))
-        run.trails[tut] = result.trail
-        packed = run.packs[key] = cap if result.unplaced else result.tus
-    if isinstance(packed, int) or len(packed) > cap:
+    if any(not fits_empty(b, tut) for b in released):
         return None
-    return Solution([tu.clone() for tu in survivors + packed])
+    result = pack_3dbp(tut, released, run.cost, run.sort, max_tus=cap, decisions=run.decisions)
+    if result.unplaced:
+        return None
+    return Solution([tu.clone() for tu in survivors] + result.tus)
 
 
 def move_n3(sol: Solution, run: Run, incumbent_fitness: float) -> Solution | None:
@@ -447,7 +432,7 @@ def solve(
         objective or instance.objective, cost or CostParams(), sort or SortParams(), search,
         random.Random(search.seed), TypePointer(instance.catalog), stats or SolveStats(),
     )
-    sol = initialize(instance, run.pointer, run.cost, run.sort, trails=run.trails)
+    sol = initialize(instance, run.pointer, run.cost, run.sort, decisions=run.decisions)
     run.stats.record("init", fitness(sol, run.objective), sol)
     while True:
         sol = ls1(sol, run)

@@ -1026,14 +1026,15 @@ def test_pack_kernel_work_is_pinned(monkeypatch, scheme, demand, seed, tut_id, s
 
 
 # ---------------------------------------------------------------------------
-# trails: a pack replays what an earlier pack of the type decided
+# the decision store: a pack replays what earlier packs of its type and
+# constants decided along its own (shape, weight) sequence
 
-def _trail_pair(rng):
-    """Box lists A and B for ``T_SMALL``: B is A with up to three boxes
-    given another weight, swapped for a new box or dropped, up to two boxes
-    added, and the input reordered (shuffled or rotated). Shapes come from a
-    small pool and weights from a few values, so identical shapes carry
-    different weights and a reordered input can still keep the sorted
+def _box_lists(rng, n):
+    """``n`` box lists for ``T_SMALL``, each the one before with up to three
+    boxes given another weight, swapped for a new box or dropped, up to two
+    boxes added, and the input reordered (shuffled or rotated). Shapes come
+    from a small pool and weights from a few values, so identical shapes
+    carry different weights and a reordered input can still keep the sorted
     (shape, weight) sequence; the pool holds a non-stackable shape and one
     taller than the TU, and about one box in twenty is heavier than its
     capacity."""
@@ -1049,17 +1050,21 @@ def _trail_pair(rng):
         shape = shape or rng.choice(pool)
         return BoxSpec(bid, *shape[:3], weight, *shape[3:])
 
-    a = [box(f"a{i}") for i in range(rng.randint(1, 30))]
-    b = list(a)
-    for k, i in enumerate(rng.sample(range(len(b)), min(len(b), rng.randint(0, 3)))):
-        b[i] = rng.choice([box(f"w{k}", b[i].shape), box(f"s{k}"), None])
-    b = [x for x in b if x is not None] + [box(f"n{k}") for k in range(rng.randint(0, 2))]
-    if rng.random() < 0.5:
-        rng.shuffle(b)
-    else:
-        k = rng.randrange(len(b) + 1)
-        b = b[k:] + b[:k]
-    return a, b
+    lists = [[box(f"a{i}") for i in range(rng.randint(1, 30))]]
+    while len(lists) < n:
+        b = list(lists[-1])
+        for k, i in enumerate(rng.sample(range(len(b)), min(len(b), rng.randint(0, 3)))):
+            b[i] = rng.choice([box(f"w{len(lists)}.{k}", b[i].shape), box(f"s{len(lists)}.{k}"),
+                               None])
+        b = [x for x in b if x is not None] + [box(f"n{len(lists)}.{k}")
+                                               for k in range(rng.randint(0, 2))]
+        if rng.random() < 0.5:
+            rng.shuffle(b)
+        else:
+            k = rng.randrange(len(b) + 1)
+            b = b[k:] + b[:k]
+        lists.append(b)
+    return lists
 
 
 def _best_spot_calls(*args, **kwargs):
@@ -1073,73 +1078,137 @@ def _same_pack(got, want):
     assert _layout(got.tus) == _layout(want.tus) and got.unplaced == want.unplaced
     assert [ep_list(tu.eps) for tu in got.tus] == [ep_list(tu.eps) for tu in want.tus]
     assert [tu.total_weight for tu in got.tus] == [tu.total_weight for tu in want.tus]
-    assert got.trail.steps == want.trail.steps
 
 
-_cap = st.none() | st.integers(1, 4)
+_OTHER_COST = CostParams(3.0, 2.0, 0.0, 0.0)
+_STORE_KEYS = [(tut, cp) for tut in (T_SMALL, TuType("narrow", 60, 50, 100, 400))
+               for cp in (DEFAULT_COST, _OTHER_COST)]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**16), cap_a=_cap, cap_b=_cap)
-def test_a_trail_packs_exactly_like_a_cold_pack(seed, cap_a, cap_b):
-    """B packed with the trail of A's pack, each under its own cap or none,
-    is B's cold pack: the same TUs, placements, anchors, orientations,
-    unplaced boxes and decisions. A trail of another type, or of other
-    pricing constants, is ignored: the pack asks ``best_spot`` as often as
-    the cold one does."""
-    a, b = _trail_pair(random.Random(seed))
-    trail = pack_3dbp(T_SMALL, a, max_tus=cap_a).trail
-    cold, calls = _best_spot_calls(T_SMALL, b, max_tus=cap_b)
-    _same_pack(pack_3dbp(T_SMALL, b, max_tus=cap_b, trail=trail), cold)
-    other_cost = CostParams(3.0, 2.0, 0.0, 0.0)
-    for foreign in (pack_3dbp(TuType("narrow", 60, 50, 100, 400), b).trail,
-                    pack_3dbp(T_SMALL, b, other_cost).trail):
-        got, foreign_calls = _best_spot_calls(T_SMALL, b, max_tus=cap_b, trail=foreign)
-        _same_pack(got, cold)
-        assert foreign_calls == calls
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16))
+def test_packs_sharing_a_store_equal_their_cold_packs(seed):
+    """Box lists that share most of their boxes, each packed three times,
+    under two types, two sets of pricing constants and tighter and looser
+    caps, all with one store: every pack is the cold pack of its boxes, in
+    TUs, placements, anchors, orientations, EPs, weights and unplaced
+    boxes."""
+    rng = random.Random(seed)
+    store = {}
+    for boxes in _box_lists(rng, 3):
+        for _ in range(3):
+            tut, cp = rng.choice(_STORE_KEYS)
+            cap = rng.choice((None, 1, 2, 3))
+            got = pack_3dbp(tut, boxes, cp, max_tus=cap, decisions=store)
+            _same_pack(got, pack_3dbp(tut, boxes, cp, max_tus=cap))
 
 
-def test_trail_is_keyword_only():
+def test_decisions_is_keyword_only():
     """perfbench's probe of ``pack_3dbp`` reads positional argument 4 as the
-    ``open_tus`` the function once took, so ``trail`` must never be one."""
-    boxes = _random_boxes(random.Random(1), 5)
-    trail = pack_3dbp(T_SMALL, boxes).trail
+    ``open_tus`` the function once took, so ``decisions`` must never be
+    one."""
     with pytest.raises(TypeError):
-        pack_3dbp(T_SMALL, boxes, DEFAULT_COST, SortParams(), trail)
+        pack_3dbp(T_SMALL, _random_boxes(random.Random(1), 5), DEFAULT_COST, SortParams(), {})
 
 
-def test_a_trail_replays_the_shared_prefix():
-    """A box list packed again with its own trail replays every decision
-    and asks ``best_spot`` nothing; with one more box, which sorts in late,
-    the decisions before it are replayed, so the pack asks fewer times than
-    a cold one and packs the same."""
+def _store_instance():
+    """A scheme-2 consignment of 107 boxes and the type it packs into three
+    TUs."""
     inst, _ = generate_instance(DemandPoint(3, 400), 2, seed=1)
-    tut = next(t for t in DEFAULT_CATALOG if t.id == "120x80x160")
-    first = pack_3dbp(tut, inst.boxes)
-    again, calls = _best_spot_calls(tut, inst.boxes, trail=first.trail)
-    _same_pack(again, first)
-    assert calls == 0
-    more = inst.boxes + [BoxSpec("extra", 12, 10, 8, 1)]
+    return inst.boxes, next(t for t in DEFAULT_CATALOG if t.id == "120x80x160")
+
+
+def test_a_pack_replayed_whole_makes_no_ep_update(monkeypatch):
+    """A box list packed again with a store that holds its pack, at the
+    same cap or a tighter one, replays every decision: no ``best_spot``, no
+    ``update_eps`` and no EP derivation. It is the cold pack: a full pack's
+    repeat is cut by the tighter cap, and a cut pack's repeat at its own
+    cap is cut where the recorded cut is."""
+    boxes, tut = _store_instance()
+    full, capped = pack_3dbp(tut, boxes), pack_3dbp(tut, boxes, max_tus=1)
+    assert len(full.tus) == 3 and capped.unplaced
+    whole, cut = {}, {}
+    pack_3dbp(tut, boxes, decisions=whole)
+    pack_3dbp(tut, boxes, max_tus=1, decisions=cut)
+    calls = Counter()
+    for name in ("best_spot", "update_eps", "_eps_of"):
+        def counted(*args, _kernel=getattr(packer, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(packer, name, counted)
+    repeats = [pack_3dbp(tut, boxes, decisions=whole),
+               pack_3dbp(tut, boxes, max_tus=1, decisions=whole),
+               pack_3dbp(tut, boxes, max_tus=1, decisions=cut)]
+    assert calls == {}
+    monkeypatch.undo()
+    for got, want in zip(repeats, (full, capped, capped)):
+        _same_pack(got, want)
+
+
+def test_a_looser_cap_continues_live_from_a_recorded_cut():
+    """A pack cut at cap 1 records the cut. Its repeat with no cap replays
+    the decisions up to the cut and makes the rest live, so the two ask
+    ``best_spot`` as often as one cold pack; it is the cold pack, and it
+    records the live decisions in place of the cut, so a third pack replays
+    them all. With one more box, which sorts in late, the decisions before
+    it are replayed."""
+    boxes, tut = _store_instance()
+    cold, cold_calls = _best_spot_calls(tut, boxes)
+    store = {}
+    cut, cut_calls = _best_spot_calls(tut, boxes, max_tus=1, decisions=store)
+    assert len(cut.tus) == 1 and cut.unplaced
+    looser, looser_calls = _best_spot_calls(tut, boxes, decisions=store)
+    _same_pack(looser, cold)
+    again, again_calls = _best_spot_calls(tut, boxes, decisions=store)
+    _same_pack(again, cold)
+    assert (cut_calls, looser_calls, again_calls, cold_calls) == (6, 144, 0, 150)
+    more = boxes + [BoxSpec("extra", 12, 10, 8, 1)]
     cold, cold_calls = _best_spot_calls(tut, more)
-    warm, warm_calls = _best_spot_calls(tut, more, trail=first.trail)
+    warm, warm_calls = _best_spot_calls(tut, more, decisions=store)
     _same_pack(warm, cold)
     assert (warm_calls, cold_calls) == (12, 151)
 
 
-def test_a_pack_replayed_whole_makes_no_ep_update(monkeypatch):
-    """A box list packed again with its own trail lands every box bare and
-    derives each TU's EPs once where the replay ends, so ``update_eps``
-    never runs, and the TUs hold the arrays the first pack's ``add`` chain
-    built; cut by a cap during the replay, it is the cold capped pack."""
-    inst, _ = generate_instance(DemandPoint(3, 400), 2, seed=1)
-    tut = next(t for t in DEFAULT_CATALOG if t.id == "120x80x160")
-    first, capped = pack_3dbp(tut, inst.boxes), pack_3dbp(tut, inst.boxes, max_tus=1)
-    assert len(first.tus) > 1 and capped.unplaced
-    calls = []
-    monkeypatch.setattr(packer, "update_eps", lambda *args: calls.append(args))
-    _same_pack(pack_3dbp(tut, inst.boxes, trail=first.trail), first)
-    _same_pack(pack_3dbp(tut, inst.boxes, max_tus=1, trail=first.trail), capped)
-    assert calls == []
+def test_a_replayed_tu_derives_its_eps_in_order_on_first_read(monkeypatch):
+    """The TUs of a pack replayed whole come back stale. The first read
+    derives the cold pack's EP array row for row, in insertion order and
+    not through ``eps_of_layout``. After ``remove_at`` the history is gone,
+    and the array derives as ``eps_of_layout`` does, which for some of
+    these loads differs from the in-order array."""
+    boxes, tut = _store_instance()
+    store = {}
+    cold = pack_3dbp(tut, boxes, decisions=store)
+    laid_out = []
+    monkeypatch.setattr(packer, "eps_of_layout",
+                        lambda tu, _derive=packer.eps_of_layout: laid_out.append(tu) or _derive(tu))
+    replayed = pack_3dbp(tut, boxes, decisions=store).tus
+    assert all(tu._eps is None for tu in replayed)
+    assert [tu.eps.tolist() for tu in replayed] == [tu.eps.tolist() for tu in cold.tus]
+    assert laid_out == []
+    differ = 0
+    for index in (0, 5, -1):
+        for tu in pack_3dbp(tut, boxes, decisions=store).tus:
+            tu.remove_at(index)
+            in_order = _eps_of(tu, True).tolist()
+            assert tu.eps.tolist() == _eps_of(tu, False).tolist()
+            differ += tu.eps.tolist() != in_order
+    assert len(laid_out) == 9 and differ > 0
+
+
+def test_a_clone_of_a_replayed_tu_derives_once_and_shares(monkeypatch):
+    """A replayed TU's ``clone`` derives the in-order EPs once, and the TU
+    and its twin share that array."""
+    boxes, tut = _store_instance()
+    store = {}
+    pack_3dbp(tut, boxes, decisions=store)
+    tu = pack_3dbp(tut, boxes, decisions=store).tus[0]
+    derived = []
+    monkeypatch.setattr(packer, "_eps_of",
+                        lambda tu, in_order, _derive=packer._eps_of:
+                        derived.append(in_order) or _derive(tu, in_order))
+    twin = tu.clone()
+    assert derived == [True] and twin.eps is tu.eps
+    assert twin.eps.tolist() == _eps_of(tu, True).tolist()
 
 
 def _twin_tus():

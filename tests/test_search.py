@@ -496,18 +496,18 @@ def test_solve_derives_removal_eps_only_when_read(monkeypatch, volume, weight, c
     assert count == calls
 
 
-# (volume m3, weight kg, best_spot calls): the same two solves, 9,659 in
-# all; packing every rebuild without the last trail of its type took 2,052
-# and 8,185
-_REPLAYED = [(2.5, 900, 1819), (5, 1579, 7840)]
+# (volume m3, weight kg, best_spot calls): the same two solves, 9,480 in
+# all; replaying only the run's last pack of each type took 1,819 and 7,840,
+# and packing every rebuild without replay 2,052 and 8,185
+_REPLAYED = [(2.5, 900, 1762), (5, 1579, 7718)]
 
 
 @pytest.mark.parametrize("volume, weight, calls", _REPLAYED)
 def test_solve_replays_the_decisions_a_rebuild_shares(monkeypatch, volume, weight, calls):
     """``best_spot`` calls of the two large solves, counted through the
     module global the packer calls it by. Each pack replays the decisions
-    it shares with the run's last pack of its type, seeded by the first
-    solution's packs, so a solve whose trails stop replaying fails here."""
+    it shares with any earlier pack of the run, the first solution's
+    included, so a solve whose decision store stops replaying fails here."""
     count = 0
 
     def counted(*args, _spot=packer.best_spot, **kwargs):
@@ -521,18 +521,19 @@ def test_solve_replays_the_decisions_a_rebuild_shares(monkeypatch, volume, weigh
     assert count == calls
 
 
-# (volume m3, weight kg, update_eps calls): the same two solves, 6,503 in
-# all; landing each replayed box through ``PackedTu.add`` took 1,738 and
+# (volume m3, weight kg, update_eps calls): the same two solves, 6,334 in
+# all; replaying only the run's last pack of each type took 1,513 and
+# 4,990, and landing each replayed box through ``PackedTu.add`` 1,738 and
 # 5,326
-_UPDATED = [(2.5, 900, 1513), (5, 1579, 4990)]
+_UPDATED = [(2.5, 900, 1460), (5, 1579, 4874)]
 
 
 @pytest.mark.parametrize("volume, weight, calls", _UPDATED)
 def test_solve_lands_replayed_boxes_without_an_ep_update(monkeypatch, volume, weight, calls):
     """``update_eps`` calls of the two large solves, counted through the
     module global ``PackedTu.add`` calls it by. A replayed box lands bare
-    and its TU's EPs are derived once where the replay ends, so a solve
-    that updates the EPs of replayed boxes fails here."""
+    and its TU's EPs are derived once, where the replay ends or when first
+    read, so a solve that updates the EPs of replayed boxes fails here."""
     count = 0
 
     def counted(*args, _update=packer.update_eps):
@@ -729,47 +730,58 @@ def test_capped_rebuild_makes_the_uncapped_decision(rows, data):
                         == dump_solution(ref, inst.name, objective))
 
 
-def test_rebuild_memo_packs_a_key_once_per_cap_and_hands_out_copies(monkeypatch):
-    """Per (type, released boxes), ``_rebuild`` packs once, and again only for
-    a cap looser than one its pack was cut at; every other call is answered
-    from the memo with copies that the candidates may change freely."""
-    caps = []
-
-    def counting(*args, **kwargs):
-        caps.append(kwargs["max_tus"])
-        return pack_3dbp(*args, **kwargs)
-
-    inst, _ = make_instance(1.5, 300, 2, seed=11, name="memo")
+def _full_rebuild():
+    """A rebuild of every TU of a small solution with a type it needs two
+    TUs of, though volume and weight allow one; and ``rebuild(cap)``, that
+    rebuild in one run with a budget of ``cap`` TUs."""
+    inst, _ = make_instance(1.5, 300, 2, seed=11, name="store")
     sol = initialize(inst, TypePointer(inst.catalog), COST, SORT)
-    monkeypatch.setattr("tupack.search.pack_3dbp", counting)
     tut = next(t for t in inst.catalog if t.id == "120x80x160")
     kept, freed, _ = _destroy(sol, list(range(len(sol.tus))), OBJ, fitness(sol, OBJ))
-    # the full pack needs 2 TUs of this type; volume and weight allow 1
     assert len(_rebuild_uncapped(kept, freed, tut).tus) == 2
     per_tu = tut.volume_liters + OBJ.alpha * OBJ.theta + OBJ.beta
     run = _run()
+    return inst, kept, freed, tut, lambda cap: _rebuild(kept, freed, tut, run, (cap + 0.5) * per_tu)
 
-    def rebuild(cap):
-        return _rebuild(kept, freed, tut, run, (cap + 0.5) * per_tu)
 
-    assert rebuild(1) is None and caps == [1]          # cut at cap 1
-    assert rebuild(1) is None and caps == [1]          # same cap: served
-    first = rebuild(2)                                  # looser cap: packs again
-    assert first is not None and caps == [1, 2]
+def test_rebuild_repeats_replay_the_store_into_fresh_tus(monkeypatch):
+    """Repeated rebuilds of one (type, released boxes) pack every time,
+    replaying the run's decision store: a repeat at the same or a tighter
+    cap asks ``best_spot`` nothing, a looser cap than a cut goes on live
+    from the cut, and each candidate holds fresh TUs, so changing one
+    leaves a later repeat unchanged."""
+    inst, _, _, _, rebuild = _full_rebuild()
+    calls = []
+
+    def counted(*args, _spot=packer.best_spot, **kwargs):
+        calls.append(args)
+        return _spot(*args, **kwargs)
+
+    monkeypatch.setattr(packer, "best_spot", counted)
+
+    def spots(cap):
+        del calls[:]
+        return rebuild(cap), len(calls)
+
+    assert spots(1)[0] is None                          # cut at cap 1
+    assert spots(1) == (None, 0)                        # same cap: cut in the replay
+    first, looser = spots(2)                            # looser cap: live from the cut
+    assert first is not None and looser > 0
     text = dump_solution(first, inst.name, OBJ)
-    assert rebuild(1) is None and caps == [1, 2]        # tighter than the full pack
-    second = rebuild(2)
-    assert caps == [1, 2] and dump_solution(second, inst.name, OBJ) == text
+    assert spots(1) == (None, 0)                        # tighter than the full pack
+    second, again = spots(2)
+    assert again == 0 and dump_solution(second, inst.name, OBJ) == text
     assert place_best(first.tus[-1], BoxSpec("extra", 1, 1, 1, 0), COST) is not None
     assert dump_solution(second, inst.name, OBJ) == text
-    third = rebuild(5)
-    assert caps == [1, 2] and dump_solution(third, inst.name, OBJ) == text
+    third, again = spots(5)
+    assert again == 0 and dump_solution(third, inst.name, OBJ) == text
+    assert not {id(tu) for tu in first.tus} & {id(tu) for tu in second.tus + third.tus}
 
 
 def test_rebuild_checks_fits_empty_only_before_it_packs(monkeypatch):
-    """A rebuild the memo answers makes no ``fits_empty`` call, since its
-    stored pack passed the check; a rebuild whose released boxes include one
-    too tall for the type is refused by the check, without a pack."""
+    """A rebuild within the cap checks every released box against an empty
+    TU of the type, then packs once; one whose released boxes include a box
+    too tall for the type is refused by the check, before any pack."""
     checked, packed = [], []
 
     def counting_fits(box, tut):
@@ -780,21 +792,12 @@ def test_rebuild_checks_fits_empty_only_before_it_packs(monkeypatch):
         packed.append(kwargs["max_tus"])
         return pack_3dbp(*args, **kwargs)
 
-    inst, _ = make_instance(1.5, 300, 2, seed=11, name="fit")
-    sol = initialize(inst, TypePointer(inst.catalog), COST, SORT)
+    _, kept, freed, tut, rebuild = _full_rebuild()
     monkeypatch.setattr("tupack.search.fits_empty", counting_fits)
     monkeypatch.setattr("tupack.search.pack_3dbp", counting_pack)
-    tut = next(t for t in inst.catalog if t.id == "120x80x160")
-    kept, freed, _ = _destroy(sol, list(range(len(sol.tus))), OBJ, fitness(sol, OBJ))
-    per_tu = tut.volume_liters + OBJ.alpha * OBJ.theta + OBJ.beta
-    run = _run()
-    assert _rebuild(kept, freed, tut, run, 5.5 * per_tu) is not None
-    assert len(checked) == len(freed) and len(packed) == 1
-    del checked[:]
-    for cap in (5, 2, 1):  # served from the memo: copies, or cut
-        _rebuild(kept, freed, tut, run, (cap + 0.5) * per_tu)
-    assert checked == [] and len(packed) == 1
     tall = BoxSpec("tall", 10, 10, tut.z + 1, 1)
     assert not fits_empty(tall, tut)
-    assert _rebuild(kept, freed + [tall], tut, run, 5.5 * per_tu) is None
-    assert checked[-1] is tall and len(packed) == 1 and len(run.packs) == 1
+    assert rebuild(5) is not None
+    assert checked == freed and packed == [5]
+    assert _rebuild(kept, freed + [tall], tut, _run(), 10 ** 6) is None
+    assert checked[-1] is tall and packed == [5]
